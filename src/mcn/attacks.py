@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO
 
+import numpy as np
+
 from .control import min_drivers_matching
 from .digraph import Digraph
 from .seeding import derive_rng
@@ -53,12 +55,10 @@ def remove_nodes(
     if count == 0:
         return g
     if strategy is AttackStrategy.TARGETED:
-        ranked = sorted(g.nodes, key=lambda m: (-g.out_degree(m), m))
-        removed = set(ranked[:count])
+        removed = g.labels[np.lexsort((g.labels, -g.out_degrees))[:count]]
     else:
-        rng = derive_rng(seed)
-        removed = set(rng.choice(g.nodes, size=count, replace=False).tolist())
-    return g.subgraph(set(g.nodes) - removed)
+        removed = derive_rng(seed).choice(g.labels, size=count, replace=False)
+    return g.subgraph(np.setdiff1d(g.labels, removed, assume_unique=True))
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,4 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
             if len(edges) == m:
                 break
 
-    succ: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for s, t in edges:
-        succ[s].append(t)
-    return Digraph({i: sorted(ts) for i, ts in succ.items()})
+    return Digraph.from_edges(range(1, n + 1), list(edges))

@@ -66,7 +66,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     spec = LayerSpec(args.r, args.n)
     g = build_layer(spec)
     hist = empirical_distribution(g)
-    active = sum(1 for m in g.nodes if g.out_degree(m) > 0)
+    active = int((g.out_degrees > 0).sum())
     with _output(args.csv) as fh:
         fh.write(f"# layer r={spec.r} n={spec.n}\n")
         fh.write(f"# nodes={g.num_nodes} edges={g.num_edges}\n")

@@ -31,54 +31,59 @@ from .seeding import derive_rng
 FIELD_PRIME = (1 << 61) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingMatrix:
     """Sparse coupling matrix: entry (j, i) is nonzero iff edge i -> j exists.
 
     Rows and columns are indexed by the position of the node label in
-    ``labels`` (ascending). Weights are elements of GF(FIELD_PRIME).
+    ``labels`` (ascending). ``entries`` is an (nnz, 3) int64 array of
+    (row, column, weight) sorted by (row, column); weights are elements of
+    GF(FIELD_PRIME).
     """
 
-    labels: tuple[int, ...]
-    entries: tuple[tuple[int, int, int], ...]
+    labels: np.ndarray
+    entries: np.ndarray
 
     @property
     def dimension(self) -> int:
         return len(self.labels)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CouplingMatrix):
+            return NotImplemented
+        return np.array_equal(self.labels, other.labels) and np.array_equal(self.entries, other.entries)
+
     def rows(self) -> list[dict[int, int]]:
-        """Row-index -> {column: weight} view for elimination."""
-        rows: list[dict[int, int]] = [{} for _ in self.labels]
-        for r, c, w in self.entries:
+        """Row-index -> {column: weight} view for elimination, in Python ints."""
+        rows: list[dict[int, int]] = [{} for _ in range(self.dimension)]
+        for r, c, w in zip(*self.entries.T.tolist()):
             rows[r][c] = w
         return rows
 
     def dense(self) -> np.ndarray:
         """Dense int64 array, mainly for inspection and golden tests."""
         a = np.zeros((self.dimension, self.dimension), dtype=np.int64)
-        for r, c, w in self.entries:
-            a[r, c] = w
+        a[self.entries[:, 0], self.entries[:, 1]] = self.entries[:, 2]
         return a
 
 
 def coupling_matrix(g: Digraph, weighting: str = "unit", seed: int | tuple[int, ...] = 0) -> CouplingMatrix:
-    """Build the coupling matrix of a graph.
+    """Build the coupling matrix of a graph: the transpose of its CSR adjacency.
 
     ``weighting="unit"`` places 1 at every entry; ``weighting="random"``
-    places independent uniform nonzero field elements drawn from ``seed``.
+    places independent uniform nonzero field elements drawn from ``seed``,
+    one per edge in ascending (source, target) order.
     """
-    labels = g.nodes
-    index = {m: i for i, m in enumerate(labels)}
-    positions = [(index[j], index[i]) for i, j in g.edges()]
+    rows = g.indices
+    cols = np.repeat(np.arange(g.num_nodes), g.out_degrees)
     if weighting == "unit":
-        weights = [1] * len(positions)
+        weights = np.ones_like(rows)
     elif weighting == "random":
-        rng = derive_rng(seed)
-        weights = [int(w) for w in rng.integers(1, FIELD_PRIME, size=len(positions))]
+        weights = derive_rng(seed).integers(1, FIELD_PRIME, size=len(rows))
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    entries = sorted((r, c, w) for (r, c), w in zip(positions, weights))
-    return CouplingMatrix(labels=labels, entries=tuple(entries))
+    entries = np.column_stack((rows, cols, weights))[np.lexsort((cols, rows))]
+    return CouplingMatrix(labels=g.labels, entries=entries)
 
 
 def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
@@ -147,17 +152,16 @@ class ControlReport:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _report(labels: tuple[int, ...], rank_value: int, drivers: list[int], method: str) -> ControlReport:
-    n = len(labels)
+def _report(g: Digraph, rank_value: int, drivers: list[int], method: str) -> ControlReport:
+    """Report with ``drivers`` given as node positions, turned into labels here."""
+    n = g.num_nodes
     n_d = max(1, n - rank_value)
-    if not drivers:
-        drivers = [labels[0]]  # full rank still needs one input signal
     return ControlReport(
         n_nodes=n,
         rank=rank_value,
         n_d=n_d,
         density=n_d / n,
-        drivers=tuple(drivers),
+        drivers=tuple(g.labels[drivers or [0]].tolist()),  # full rank still needs one input signal
         method=method,
     )
 
@@ -174,10 +178,8 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     """
     if g.num_nodes == 0:
         raise ValueError("graph has no nodes")
-    m = coupling_matrix(g, weighting=weighting, seed=seed)
-    rank_value, dependent = _eliminate(m.rows())
-    drivers = [m.labels[i] for i in dependent]
-    return _report(m.labels, rank_value, drivers, "exact_rank")
+    rank_value, dependent = _eliminate(coupling_matrix(g, weighting=weighting, seed=seed).rows())
+    return _report(g, rank_value, dependent, "exact_rank")
 
 
 def min_drivers_matching(g: Digraph) -> ControlReport:
@@ -190,13 +192,11 @@ def min_drivers_matching(g: Digraph) -> ControlReport:
     """
     if g.num_nodes == 0:
         raise ValueError("graph has no nodes")
-    labels = g.nodes
-    index = {m: i for i, m in enumerate(labels)}
-    adj = [[index[j] for j in g.successors(m)] for m in labels]
-    _, match_r = hopcroft_karp(adj, len(labels))
+    ptr, indices = g.indptr.tolist(), g.indices.tolist()
+    adj = [indices[ptr[k]:ptr[k + 1]] for k in range(g.num_nodes)]
+    _, match_r = hopcroft_karp(adj, g.num_nodes)
     size = sum(1 for w in match_r if w >= 0)
-    drivers = [labels[v] for v, w in enumerate(match_r) if w < 0]
-    return _report(labels, size, drivers, "matching")
+    return _report(g, size, [v for v, w in enumerate(match_r) if w < 0], "matching")
 
 
 @dataclass(frozen=True)

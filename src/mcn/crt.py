@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from .layers import first_successor
+
 MAX_MODULUS_PRODUCT = 1 << 63
 
 
@@ -112,12 +114,7 @@ def successor_set(r: int, m: int, limit: int) -> list[int]:
         raise ValueError(f"node {m} is absent from the layer with remainder {r}")
     if limit < m:
         raise ValueError(f"limit {limit} is below node {m}")
-    start = m + r if r > 0 else 2 * m
-    return list(range(start, limit + 1, m))
-
-
-def _first_successor(c: Congruence) -> int:
-    return c.modulus + c.remainder if c.remainder > 0 else 2 * c.modulus
+    return list(range(first_successor(m, r), limit + 1, m))
 
 
 def solve_graphical(system: CongruenceSystem) -> CrtSolution:
@@ -136,7 +133,7 @@ def solve_graphical(system: CongruenceSystem) -> CrtSolution:
     big_m = system.modulus_product
     ceiling = big_m + max(c.modulus for c in items)
 
-    current = [_first_successor(c) for c in items]
+    current = [first_successor(c.modulus, c.remainder) for c in items]
     while True:
         candidate = max(current)
         if candidate > ceiling:

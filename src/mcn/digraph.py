@@ -6,100 +6,142 @@ import re
 from collections.abc import Iterable, Mapping
 from typing import IO, Union
 
+import numpy as np
+
+_BATCH = 1 << 16  # Digraph.edges() turns this many edges into Python ints at a time
+
+
+def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
+    """``values`` as an int64 array; anything but integers is rejected."""
+    a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {a.ravel()[0]!r}")
+    return a.astype(np.int64, copy=False)
+
+
+def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
+    """Validate a simple digraph and return its arrays ``(labels, indptr, indices)``.
+
+    ``pairs`` lists the edges (i, j) grouped by ascending source, each
+    source's targets in strictly increasing order, which also rules out
+    duplicate edges. Every validating constructor funnels through here.
+    """
+    labels = np.sort(_integers(nodes, "node labels"))
+    if labels.size and labels[0] < 1:
+        raise ValueError(f"node labels must be positive integers, got {int(labels[0])}")
+    labels = labels[np.diff(labels, prepend=0) > 0]  # drop repeated labels
+    edges = _integers(pairs, "edge endpoints").reshape(-1, 2)
+    src, dst = np.searchsorted(labels, edges[:, 0]), np.searchsorted(labels, edges[:, 1])
+
+    def reject(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            i, j = edges[int(np.argmax(bad))].tolist()
+            raise ValueError(message.format(i=i, j=j))
+
+    reject(~np.isin(edges[:, 0], labels), "edge {i}->{j} starts outside the node set")
+    reject(~np.isin(edges[:, 1], labels), "edge {i}->{j} points outside the node set")
+    reject(src == dst, "self-loop on node {i}")
+    unordered = (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])
+    reject(np.append(False, unordered), "successor list of node {i} is not strictly increasing")
+    return labels, np.searchsorted(src, np.arange(len(labels) + 1)), dst
+
 
 class Digraph:
-    """A simple directed graph stored as sorted successor lists.
+    """A simple directed graph in compressed sparse row (CSR) form.
 
-    Node labels are positive integers and need not be contiguous; they are
-    never re-indexed. Instances are immutable after construction, so a graph
-    may be shared freely between readers; derived graphs (induced subgraphs)
-    are new instances. Self-loops and duplicate edges are rejected.
+    ``labels`` holds the node labels, positive integers in ascending order
+    that need not be contiguous. The successors of ``labels[k]`` are
+    ``labels[indices[indptr[k]:indptr[k+1]]]``: ``indices`` stores target
+    positions, ascending within each row. The three int64 arrays are
+    read-only, so a graph may be shared freely between readers; derived
+    graphs (induced subgraphs) are new instances. Self-loops and duplicate
+    edges are rejected.
     """
 
-    __slots__ = ("_nodes", "_node_set", "_succ", "_num_edges")
+    __slots__ = ("labels", "indptr", "indices")
 
     def __init__(self, successors: Mapping[int, Iterable[int]]):
         nodes = sorted(successors)
-        for m in nodes:
-            if not isinstance(m, int) or m < 1:
-                raise ValueError(f"node labels must be positive integers, got {m!r}")
-        node_set = frozenset(nodes)
-        succ: dict[int, tuple[int, ...]] = {}
-        num_edges = 0
-        for m in nodes:
-            targets = tuple(successors[m])
-            prev = 0
-            for j in targets:
-                if j not in node_set:
-                    raise ValueError(f"edge {m}->{j} points outside the node set")
-                if j == m:
-                    raise ValueError(f"self-loop on node {m}")
-                if j <= prev:
-                    raise ValueError(f"successor list of node {m} is not strictly increasing")
-                prev = j
-            succ[m] = targets
-            num_edges += len(targets)
-        self._nodes = tuple(nodes)
-        self._node_set = node_set
-        self._succ = succ
-        self._num_edges = num_edges
+        self._set(*_csr(nodes, [(m, j) for m in nodes for j in successors[m]]))
+
+    def _set(self, *arrays: np.ndarray) -> None:
+        for a in arrays:
+            a.flags.writeable = False
+        self.labels, self.indptr, self.indices = arrays
 
     @classmethod
-    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "Digraph":
-        succ: dict[int, list[int]] = {m: [] for m in nodes}
-        for i, j in edges:
-            if i not in succ:
-                raise ValueError(f"edge {i}->{j} starts outside the node set")
-            succ[i].append(j)
-        return cls({m: sorted(ts) for m, ts in succ.items()})
+    def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> "Digraph":
+        """Wrap CSR arrays that are valid by construction, without checking them."""
+        g = cls.__new__(cls)
+        g._set(labels, indptr, indices)
+        return g
+
+    @classmethod
+    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
+        """Graph on ``nodes`` with the (i, j) ``edges``, given in any order."""
+        pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
+        return cls._from_csr(*_csr(nodes, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]))
 
     @property
     def nodes(self) -> tuple[int, ...]:
-        return self._nodes
+        return tuple(self.labels.tolist())
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self.labels)
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return len(self.indices)
+
+    @property
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of every node, aligned with ``labels``."""
+        return np.diff(self.indptr)
 
     def __contains__(self, m: int) -> bool:
-        return m in self._node_set
+        k = np.searchsorted(self.labels, m)
+        return bool(k < len(self.labels) and self.labels[k] == m)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.labels)
+
+    def _row(self, m: int) -> np.ndarray:
+        """Target positions of node ``m``."""
+        if m not in self:
+            raise KeyError(f"node {m} is not in the graph")
+        k = np.searchsorted(self.labels, m)
+        return self.indices[self.indptr[k]:self.indptr[k + 1]]
 
     def successors(self, m: int) -> tuple[int, ...]:
-        try:
-            return self._succ[m]
-        except KeyError:
-            raise KeyError(f"node {m} is not in the graph") from None
+        return tuple(self.labels[self._row(m)].tolist())
 
     def out_degree(self, m: int) -> int:
-        return len(self.successors(m))
+        return len(self._row(m))
 
     def edges(self):
-        """Yield edges as (i, j) pairs in ascending lexicographic order."""
-        for m in self._nodes:
-            for j in self._succ[m]:
-                yield m, j
+        """Yield edges as (i, j) pairs of ints in ascending lexicographic order."""
+        sources, targets = np.repeat(self.labels, self.out_degrees), self.labels[self.indices]
+        for a in range(0, len(targets), _BATCH):
+            yield from zip(sources[a:a + _BATCH].tolist(), targets[a:a + _BATCH].tolist())
 
-    def subgraph(self, keep: Iterable[int]) -> "Digraph":
+    def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""
-        keep_set = frozenset(keep)
-        unknown = keep_set - self._node_set
-        if unknown:
-            raise ValueError(f"nodes {sorted(unknown)[:5]} are not in the graph")
-        return Digraph(
-            {m: tuple(j for j in self._succ[m] if j in keep_set) for m in keep_set}
-        )
+        keep = _integers(keep, "node labels")
+        unknown = keep[~np.isin(keep, self.labels)]
+        if unknown.size:
+            raise ValueError(f"nodes {unknown[:5].tolist()} are not in the graph")
+        mask = np.isin(self.labels, keep)
+        kept = np.repeat(mask, self.out_degrees) & mask[self.indices]
+        before = np.append(0, np.cumsum(kept))  # kept edges ahead of each edge
+        indptr = np.append(before[self.indptr[:-1]][mask], before[-1])
+        renumber = np.cumsum(mask) - 1
+        return Digraph._from_csr(self.labels[mask], indptr, renumber[self.indices[kept]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self._succ == other._succ
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
 
     def __repr__(self) -> str:
         return f"Digraph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -112,6 +154,8 @@ class Digraph:
 # nodes survive a round trip:
 #   "# mcn r=<r> n=<N>"              nodes are r+1 .. N
 #   "# sf gamma=<g> n=<N> seed=<s>"  nodes are 1 .. N
+# Under a header every edge must join two nodes of that universe, and under
+# an mcn header it must also be a layer edge: j > i and j % i == r.
 
 _MCN_HEADER = re.compile(r"^# mcn r=(\d+) n=(\d+)\s*$")
 _SF_HEADER = re.compile(r"^# sf gamma=(\S+) n=(\d+) seed=(\d+)\s*$")
@@ -147,7 +191,8 @@ def read_edge_list(file: FileOrPath) -> Digraph:
     """Read a graph written by :func:`write_edge_list`.
 
     A recognised header line reconstructs the full node universe, including
-    isolated nodes; without one, the node set is what the edges mention.
+    isolated nodes, and every edge is checked against it; errors name the
+    offending line. Without a header, the node set is what the edges mention.
     """
     if hasattr(file, "read"):
         return _read_edge_list(file)  # type: ignore[arg-type]
@@ -156,34 +201,33 @@ def read_edge_list(file: FileOrPath) -> Digraph:
 
 
 def _read_edge_list(fh: IO[str]) -> Digraph:
-    nodes: set[int] = set()
+    header = nodes = fits = None  # a recognised header, its node range and its edge rule
     edges: list[tuple[int, int]] = []
     first = True
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
+        is_first, first = first, False
         if line.startswith("#"):
-            if first:
-                m = _MCN_HEADER.match(line)
-                if m:
-                    r, n = int(m.group(1)), int(m.group(2))
-                    nodes.update(range(r + 1, n + 1))
-                else:
-                    m = _SF_HEADER.match(line)
-                    if m:
-                        nodes.update(range(1, int(m.group(2)) + 1))
-            first = False
+            if is_first and (m := _MCN_HEADER.match(line)):
+                r, n = int(m.group(1)), int(m.group(2))
+                header, nodes = line, range(r + 1, n + 1)
+                fits = lambda i, j: r < i < j <= n and j % i == r
+            elif is_first and (m := _SF_HEADER.match(line)):
+                n = int(m.group(2))
+                header, nodes = line, range(1, n + 1)
+                fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
             continue
-        first = False
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"malformed edge-list line: {line!r}")
+            raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"malformed edge-list line: {line!r}") from None
-        nodes.add(i)
-        nodes.add(j)
+            raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
+        if fits is not None and not fits(i, j):
+            raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
         edges.append((i, j))
+    nodes = np.ravel(edges) if nodes is None else np.arange(nodes.start, nodes.stop)
     return Digraph.from_edges(nodes, edges)

@@ -9,9 +9,10 @@ which makes the family a multiplex network keyed by remainder.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Mapping
+
+import numpy as np
 
 from .digraph import Digraph
 
@@ -37,24 +38,28 @@ class LayerSpec:
     def node_count(self) -> int:
         return self.n - self.r
 
-    def nodes(self) -> range:
-        return range(self.r + 1, self.n + 1)
+
+def first_successor(m, r: int):
+    """Smallest successor of node m (an int or an array) in the layer with remainder r."""
+    return m + r if r > 0 else 2 * m
 
 
 def build_layer(spec: LayerSpec) -> Digraph:
     """Materialize the congruence layer G(r, N).
 
     Node m links to m+r, 2m+r, ... for r > 0, and to its proper multiples
-    2m, 3m, ... for r = 0, all truncated at the ceiling. Successor lists are
-    stored eagerly; the layer has ~N ln N edges, fine at desk scale, and the
-    controllability and attack analyses traverse them repeatedly.
+    2m, 3m, ... for r = 0, all truncated at the ceiling: floor((N-r)/m)
+    successors, or floor(N/m) - 1 for r = 0. The layer has ~N ln N edges,
+    fine at desk scale; its CSR arrays are filled in one vectorised pass.
     """
     r, n = spec.r, spec.n
-    succ: dict[int, range] = {}
-    for m in spec.nodes():
-        start = m + r if r > 0 else 2 * m
-        succ[m] = range(start, n + 1, m)
-    return Digraph(succ)
+    labels = np.arange(r + 1, n + 1, dtype=np.int64)
+    degrees = (n - r) // labels if r > 0 else n // labels - 1
+    indptr = np.append(0, np.cumsum(degrees))
+    rows = np.repeat(np.arange(len(labels)), degrees)
+    steps = np.arange(indptr[-1]) - indptr[rows]  # k for the (k+1)-th successor
+    targets = first_successor(labels, r)[rows] + steps * labels[rows]
+    return Digraph._from_csr(labels, indptr, targets - (r + 1))
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,9 @@ class DegreeHistogram:
 
 def empirical_distribution(g: Digraph) -> DegreeHistogram:
     """Histogram of out-degrees, normalized over all nodes (sinks included)."""
-    counts = Counter(g.out_degree(m) for m in g.nodes)
+    degrees, counts = np.unique(g.out_degrees, return_counts=True)
     return DegreeHistogram(
-        counts={k: counts[k] for k in sorted(counts)}, total_nodes=g.num_nodes
+        counts=dict(zip(degrees.tolist(), counts.tolist())), total_nodes=g.num_nodes
     )
 
 

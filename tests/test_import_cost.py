@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mcn
+
+
+def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # scipy.sparse.csgraph alone roughly doubles the resident size of
+    # `import mcn`, and np.unique's default path pulls in numpy.ma; a CLI
+    # run on a graph should pay for neither.
+    code = (
+        "import sys\n"
+        "from mcn.cli import main\n"
+        "main(['sf', '--n', '60', '--gamma', '2.5', '--kbar', '2', '--out', 'g.tsv'])\n"
+        "main(['control', '--input', 'g.tsv', '--method', 'both'])\n"
+        "main(['attack', '--input', 'g.tsv', '--strategy', 'random', '--trials', '2'])\n"
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+    )
+    src = str(Path(mcn.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"

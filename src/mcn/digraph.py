@@ -15,7 +15,7 @@ def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
     """``values`` as an int64 array; anything but integers is rejected."""
     a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {a.ravel()[0]!r}")
+        raise ValueError(f"{what} must be 64-bit integers, not {a.dtype}")
     return a.astype(np.int64, copy=False)
 
 

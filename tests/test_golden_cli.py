@@ -1,6 +1,6 @@
 """Byte-level golden output of the CLI.
 
-Each case runs one ``mcn`` command in a scratch directory and hashes what it
+Each case runs one ``mcn`` command in a temporary directory and hashes what it
 prints or writes. The hashes were recorded before the graph storage moved to
 CSR arrays, so any change in the bytes the commands produce fails here:
 that includes a numpy scalar reaching a ``repr`` (``np.float64(...)``) or

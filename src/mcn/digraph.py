@@ -213,11 +213,11 @@ def _read_edge_list(fh: IO[str]) -> Digraph:
         if line.startswith("#"):
             if is_first and (m := _MCN_HEADER.match(line)):
                 r, n = int(m.group(1)), int(m.group(2))
-                header, nodes = line, range(r + 1, n + 1)
+                header, nodes = line, np.arange(r + 1, n + 1)
                 fits = lambda i, j: r < i < j <= n and j % i == r
             elif is_first and (m := _SF_HEADER.match(line)):
                 n = int(m.group(2))
-                header, nodes = line, range(1, n + 1)
+                header, nodes = line, np.arange(1, n + 1)
                 fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
             continue
         parts = line.split("\t")
@@ -232,5 +232,4 @@ def _read_edge_list(fh: IO[str]) -> Digraph:
         sources.append(i)
         targets.append(j)
     edges = np.array((sources, targets)).T  # two flat lists convert faster than pairs
-    nodes = np.ravel(edges) if nodes is None else np.arange(nodes.start, nodes.stop)
-    return Digraph.from_edges(nodes, edges)
+    return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)

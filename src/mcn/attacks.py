@@ -41,7 +41,7 @@ def remove_nodes(
     p: float,
     seed: int | tuple[int, ...] = 0,
 ) -> Digraph:
-    """Induced subgraph after removing floor(p * n) nodes.
+    """Induced subgraph after removing floor(p * n) nodes; ``g`` itself if that is 0.
 
     Random attacks draw a uniform node subset from the seed; targeted
     attacks deterministically remove the top nodes by out-degree, ties
@@ -121,6 +121,10 @@ def attack_curve(
             survivor = remove_nodes(g, strategy, p, seed=(seed, ip, t))
             if survivor.num_nodes == 0:
                 raise ValueError(f"removal fraction {p} leaves no nodes")
+            if survivor is g:
+                # nothing removed: every trial would match the same graph
+                densities = [min_drivers_matching(g).n_d / g.num_nodes] * trials
+                break
             report = min_drivers_matching(survivor)
             densities.append(report.n_d / survivor.num_nodes)
         points.append(

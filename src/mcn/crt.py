@@ -24,6 +24,9 @@ from itertools import combinations
 from .layers import first_successor
 
 MAX_MODULUS_PRODUCT = 1 << 63
+# The graphical search takes about (M + max m) // max m steps; above this
+# many it refuses up front instead of running for minutes.
+GRAPHICAL_STEP_BUDGET = 10**6
 
 
 class NonCoprimeModuliError(ValueError):
@@ -127,11 +130,21 @@ def solve_graphical(system: CongruenceSystem) -> CrtSolution:
     The ceiling extends one period beyond M so that a witness exists even
     when the canonical solution does not exceed every modulus (successors
     are strictly larger than their node); x0 is the witness reduced mod M.
+
+    Raises ValueError, before searching, when the predicted step count
+    (M + max m) // max m exceeds GRAPHICAL_STEP_BUDGET.
     """
     validate_system(system)
     items = system.items
     big_m = system.modulus_product
-    ceiling = big_m + max(c.modulus for c in items)
+    top = max(c.modulus for c in items)
+    steps = (big_m + top) // top
+    if steps > GRAPHICAL_STEP_BUDGET:
+        raise ValueError(
+            f"graphical search would take about {steps} steps, over the budget of "
+            f"{GRAPHICAL_STEP_BUDGET}; use --method garner"
+        )
+    ceiling = big_m + top
 
     current = [first_successor(c.modulus, c.remainder) for c in items]
     while True:

@@ -167,3 +167,23 @@ def test_static_sf_validation():
         StaticModelSpec(n=10, gamma=2.5, kbar=0.0)
     with pytest.raises(ValueError):
         generate_static_sf(StaticModelSpec(n=10, gamma=2.5, kbar=20.0))
+
+
+def test_unremoved_points_match_once(monkeypatch):
+    import mcn.attacks
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.num_nodes)
+        return min_drivers_matching(g)
+
+    g = build_layer(LayerSpec(1, 60))
+    expected = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
+    monkeypatch.setattr(mcn.attacks, "min_drivers_matching", counting)
+    curve = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
+    # floor(p * 59) is 0 at p = 0 and p = 0.01: one matching each, then 5 trials
+    assert calls == [59, 59] + [59 - 11] * 5
+    assert curve == expected
+    assert curve.points[0].nd_std == 0.0
+    assert curve.points[0].trials == 5

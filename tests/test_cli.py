@@ -198,3 +198,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["x0"] == 23
+
+
+@pytest.mark.parametrize("method", ["both", "graph"])
+def test_crt_over_step_budget_exits_2(capsys, method):
+    code, out, err = run_cli(
+        capsys, "crt", "1 mod 9949", "2 mod 9967", "3 mod 9973", "--method", method
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--method garner" in err
+
+
+def test_crt_over_step_budget_answers_with_garner(capsys):
+    code, out, _ = run_cli(
+        capsys, "crt", "1 mod 9949", "2 mod 9967", "3 mod 9973", "--method", "garner"
+    )
+    assert code == 0
+    x0 = json.loads(out)["x0"]
+    assert [x0 % m for m in (9949, 9967, 9973)] == [1, 2, 3]

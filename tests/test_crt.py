@@ -178,3 +178,21 @@ def test_solution_json():
     assert solve_graphical(SUNZI).to_json() == (
         '{"method":"graphical","modulus_product":105,"witness":23,"x0":23}'
     )
+
+
+def test_graphical_refuses_over_step_budget():
+    from mcn.crt import GRAPHICAL_STEP_BUDGET
+
+    system = CongruenceSystem.from_pairs([(1, 9949), (2, 9967), (3, 9973)])
+    steps = (system.modulus_product + 9973) // 9973
+    assert steps > GRAPHICAL_STEP_BUDGET
+    with pytest.raises(ValueError, match="--method garner"):
+        solve_graphical(system)
+    x0 = solve_garner(system).x0
+    assert [x0 % m for m in (9949, 9967, 9973)] == [1, 2, 3]
+
+
+def test_graphical_budget_admits_every_small_system():
+    # the largest system random_system draws: (37*41*43*47 + 47) // 47 = 65232 steps
+    system = CongruenceSystem.from_pairs([(1, 37), (2, 41), (3, 43), (4, 47)])
+    assert solve_graphical(system).x0 == solve_garner(system).x0

@@ -1,8 +1,9 @@
 """Command-line surface for the congruence-network toolkit.
 
-Exit codes: 0 on success, 2 for argument or validation problems, 3 for an
-infeasible (non-coprime) congruence system. Every failure prints a single
-diagnostic line prefixed with "error:" to stderr. Randomized subcommands
+Exit codes: 0 on success, 2 for argument or validation problems and for
+running out of memory, 3 for an infeasible (non-coprime) congruence system,
+130 for an interrupt (Ctrl-C). Every failure prints a single diagnostic line
+prefixed with "error:" to stderr, never a traceback. Randomized subcommands
 take an explicit --seed and record it in their output, so identical
 invocations produce byte-identical files.
 """
@@ -210,6 +211,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -6,12 +6,15 @@ x0 in [0, M), M the product of the moduli. Two solvers are provided:
 * graphical: in the congruence layer with remainder r_i, the successors of
   node m_i are exactly the candidates exceeding m_i, so the smallest common
   successor of the moduli nodes across their layers is a witness for the
-  solution; reducing it mod M recovers x0.
+  solution; reducing it mod M recovers x0. It is found by walking the
+  successor list of the largest-modulus node and testing each successor
+  against the other congruences.
 * Garner: classic mixed-radix reconstruction via modular inverses of the
   partial modulus products.
 
-The graphical route is a structured brute-force search and exists for its
-explanatory value; Garner is the algebraic reference.
+The graphical route is a brute-force walk of at most (M + max m) // max m
+steps and exists for its explanatory value; Garner is the algebraic
+reference.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from itertools import combinations
 from .layers import first_successor
 
 MAX_MODULUS_PRODUCT = 1 << 63
-# The graphical search takes about (M + max m) // max m steps; above this
-# many it refuses up front instead of running for minutes.
+# The graphical walk visits at most (M + max m) // max m successors; above
+# this many it refuses up front instead of running for minutes.
 GRAPHICAL_STEP_BUDGET = 10**6
 
 
@@ -123,48 +126,32 @@ def successor_set(r: int, m: int, limit: int) -> list[int]:
 def solve_graphical(system: CongruenceSystem) -> CrtSolution:
     """Solve by finding the smallest common successor of the moduli nodes.
 
-    Conceptually this intersects successor_set(r_i, m_i, N) over all
-    congruences with layer ceiling N = M + max(m_i); the implementation
-    advances one lazy arithmetic progression per congruence instead of
-    materializing layers, which is observationally the same intersection.
-    The ceiling extends one period beyond M so that a witness exists even
-    when the canonical solution does not exceed every modulus (successors
-    are strictly larger than their node); x0 is the witness reduced mod M.
+    The search walks the successor list of the largest-modulus node m* in
+    its layer r*, lazily, up to the layer ceiling N = M + m*, and stops at
+    the first x with x = r_i (mod m_i) for every other congruence. Every x
+    on the walk exceeds m*, which exceeds every other m_i, so that x is a
+    successor of every moduli node: it is the minimum of the intersection
+    of successor_set(r_i, m_i, N). The CRT places exactly one solution in
+    (m*, m* + M], so the walk always hits; the ceiling extends one period
+    beyond M because successors are strictly larger than their node, and
+    x0 is the witness reduced mod M.
 
-    Raises ValueError, before searching, when the predicted step count
+    Raises ValueError, before searching, when the walk's length bound
     (M + max m) // max m exceeds GRAPHICAL_STEP_BUDGET.
     """
     validate_system(system)
-    items = system.items
     big_m = system.modulus_product
-    top = max(c.modulus for c in items)
-    steps = (big_m + top) // top
+    top = max(system.items, key=lambda c: c.modulus)
+    steps = (big_m + top.modulus) // top.modulus
     if steps > GRAPHICAL_STEP_BUDGET:
         raise ValueError(
             f"graphical search would take about {steps} steps, over the budget of "
             f"{GRAPHICAL_STEP_BUDGET}; use --method garner"
         )
-    ceiling = big_m + top
-
-    current = [first_successor(c.modulus, c.remainder) for c in items]
-    while True:
-        candidate = max(current)
-        if candidate > ceiling:
-            raise RuntimeError(
-                "no common successor below the layer ceiling; "
-                "this cannot happen for a validated system"
-            )
-        aligned = True
-        for i, c in enumerate(items):
-            if current[i] < candidate:
-                # smallest progression member >= candidate
-                current[i] += -(-(candidate - current[i]) // c.modulus) * c.modulus
-            if current[i] != candidate:
-                aligned = False
-        if aligned:
-            witness = candidate
-            break
-
+    ceiling = big_m + top.modulus
+    walk = range(first_successor(top.modulus, top.remainder), ceiling + 1, top.modulus)
+    others = [(c.remainder, c.modulus) for c in system.items if c is not top]
+    witness = next(x for x in walk if all(x % m == r for r, m in others))
     return CrtSolution(
         x0=witness % big_m,
         modulus_product=big_m,

@@ -218,3 +218,15 @@ def test_crt_over_step_budget_answers_with_garner(capsys):
     assert code == 0
     x0 = json.loads(out)["x0"]
     assert [x0 % m for m in (9949, 9967, 9973)] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [(MemoryError, 2, "error: out of memory\n"), (KeyboardInterrupt, 130, "error: interrupted\n")],
+)
+def test_memory_error_and_interrupt_print_one_line(capsys, monkeypatch, exc, code, message):
+    def fail(spec):
+        raise exc()
+
+    monkeypatch.setattr("mcn.cli.build_layer", fail)
+    assert run_cli(capsys, "stats", "--r", "1", "--n", "100") == (code, "", message)

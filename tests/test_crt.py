@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcn import (
     Congruence,
@@ -33,6 +37,21 @@ def random_system(rng):
     moduli = rng.choice(PRIMES_BELOW_50, size=k, replace=False)
     pairs = [(int(rng.integers(0, m)), int(m)) for m in moduli]
     return CongruenceSystem.from_pairs(pairs)
+
+
+@st.composite
+def coprime_systems(draw):
+    """1-4 pairwise coprime moduli in 2..60, composites included, with M <= 2e5."""
+    moduli = []
+    for _ in range(draw(st.integers(1, 4))):
+        product = math.prod(moduli)
+        choices = [
+            m for m in range(2, 61) if math.gcd(m, product) == 1 and m * product <= 2 * 10**5
+        ]
+        if not choices:
+            break
+        moduli.append(draw(st.sampled_from(choices)))
+    return CongruenceSystem.from_pairs([(draw(st.integers(0, m - 1)), m) for m in moduli])
 
 
 # --- validation ---------------------------------------------------------------
@@ -196,3 +215,17 @@ def test_graphical_budget_admits_every_small_system():
     # the largest system random_system draws: (37*41*43*47 + 47) // 47 = 65232 steps
     system = CongruenceSystem.from_pairs([(1, 37), (2, 41), (3, 43), (4, 47)])
     assert solve_graphical(system).x0 == solve_garner(system).x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_systems())
+def test_graphical_garner_and_scan_agree_on_coprime_systems(system):
+    big_m = system.modulus_product
+    largest = max(c.modulus for c in system.items)
+    graphical = solve_graphical(system)
+    assert graphical.x0 == solve_garner(system).x0 == scan_solution(system)
+    common = set.intersection(
+        *(set(successor_set(c.remainder, c.modulus, big_m + largest)) for c in system.items)
+    )
+    assert graphical.witness == min(common)
+    assert largest < graphical.witness <= big_m + largest

@@ -73,6 +73,13 @@ def test_random_weights_match_unpeeled_elimination(g, seed):
 
 
 @SETTINGS
+@given(digraphs(), st.integers(0, 2**32 - 1))
+def test_random_weight_rank_equals_matching_size(g, seed):
+    # Lin (1974): the generic rank of a structured matrix is its maximum matching size
+    assert min_drivers_exact(g, weighting="random", seed=seed).rank == min_drivers_matching(g).rank
+
+
+@SETTINGS
 @given(digraphs())
 def test_exact_drivers_restore_full_rank(g):
     assert restores_full_rank(g, min_drivers_exact(g).drivers)

@@ -41,10 +41,8 @@ from .layers import (
     Chain,
     DegreeHistogram,
     LayerSpec,
-    MultiplexNetwork,
-    average_degree,
     build_layer,
-    empirical_distribution,
+    degree_histogram,
     extract_chains,
     theoretical_average_degree,
     theoretical_pk,
@@ -67,15 +65,13 @@ __all__ = [
     "Digraph",
     "FIELD_PRIME",
     "LayerSpec",
-    "MultiplexNetwork",
     "NonCoprimeModuliError",
     "SscReport",
     "StaticModelSpec",
     "attack_curve",
-    "average_degree",
     "build_layer",
     "coupling_matrix",
-    "empirical_distribution",
+    "degree_histogram",
     "extract_chains",
     "generate_static_sf",
     "layer_header",

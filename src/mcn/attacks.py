@@ -152,8 +152,8 @@ class StaticModelSpec:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
         if not self.gamma > 2.0:
             raise ValueError(f"degree exponent must exceed 2, got {self.gamma}")
-        if not self.kbar > 0.0:
-            raise ValueError(f"target mean degree must be positive, got {self.kbar}")
+        if not 0.0 < self.kbar < math.inf:
+            raise ValueError(f"target mean degree must be positive and finite, got {self.kbar}")
 
     @property
     def num_edges(self) -> int:

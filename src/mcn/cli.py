@@ -21,9 +21,8 @@ from .crt import CongruenceSystem, NonCoprimeModuliError, solve_garner, solve_gr
 from .digraph import Digraph, layer_header, read_edge_list, sf_header, write_edge_list
 from .layers import (
     LayerSpec,
-    average_degree,
     build_layer,
-    empirical_distribution,
+    degree_histogram,
     theoretical_average_degree,
     write_histogram_csv,
 )
@@ -65,15 +64,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     spec = LayerSpec(args.r, args.n)
-    g = build_layer(spec)
-    hist = empirical_distribution(g)
-    active = int((g.out_degrees > 0).sum())
+    hist = degree_histogram(spec)
+    nodes, edges = hist.total_nodes, hist.degree_sum
+    active = nodes - hist.counts.get(0, 0)
     with _output(args.csv) as fh:
         fh.write(f"# layer r={spec.r} n={spec.n}\n")
-        fh.write(f"# nodes={g.num_nodes} edges={g.num_edges}\n")
-        fh.write(f"# average_degree={average_degree(g)!r}\n")
+        fh.write(f"# nodes={nodes} edges={edges}\n")
+        fh.write(f"# average_degree={edges / nodes!r}\n")
         if active:
-            fh.write(f"# average_degree_active={g.num_edges / active!r}\n")
+            fh.write(f"# average_degree_active={edges / active!r}\n")
         fh.write(f"# average_degree_theory={theoretical_average_degree(spec)!r}\n")
         write_histogram_csv(hist, spec.r, fh)
     return 0

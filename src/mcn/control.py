@@ -22,7 +22,7 @@ implementations share no code and serve as cross-checks for each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from .seeding import derive_rng
 # lemma one random-weight trial falls below the generic rank with probability
 # at most n/(p-1), about n/p: below 1e-14 for n <= 10^4.
 FIELD_PRIME = (1 << 61) - 1
+
+# Row-entry updates one elimination may spend: seconds of pure Python, and
+# enough for a static-model SF graph with n=10^4, kbar=6 (6.4e6 updates).
+ELIMINATION_BUDGET = 10**7
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +107,15 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     Processes rows in index order, reducing each against the pivot rows
     found so far; rows that vanish are linearly dependent on earlier ones.
     Returns (rank, indices of dependent rows).
+
+    Fill-in makes the work hard to predict, so the row-entry updates are a
+    running count, not an up-front estimate: past ``ELIMINATION_BUDGET`` a
+    ``ValueError`` stops the elimination.
     """
     p = FIELD_PRIME
     pivots: dict[int, dict[int, int]] = {}
     dependent: list[int] = []
+    updates = 0
     for idx, row in enumerate(rows):
         row = dict(row)
         while row:
@@ -117,6 +126,12 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
                 pivots[j] = {c: (v * inv) % p for c, v in row.items()}
                 break
             f = row.pop(j)
+            updates += len(piv) - 1
+            if updates > ELIMINATION_BUDGET:
+                raise ValueError(
+                    f"exact elimination of a {len(rows)}-row core exceeds "
+                    f"{ELIMINATION_BUDGET} row updates; use --method matching"
+                )
             for c, v in piv.items():
                 if c == j:
                     continue
@@ -210,15 +225,7 @@ class ControlReport:
     method: str
 
     def to_json(self) -> str:
-        payload = {
-            "n_nodes": self.n_nodes,
-            "rank": self.rank,
-            "n_d": self.n_d,
-            "density": self.density,
-            "drivers": list(self.drivers),
-            "method": self.method,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def _report(g: Digraph, rank_value: int, drivers: list[int], method: str) -> ControlReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .layers import first_successor
@@ -98,13 +98,7 @@ class CrtSolution:
     method: str
 
     def to_json(self) -> str:
-        payload = {
-            "x0": self.x0,
-            "modulus_product": self.modulus_product,
-            "method": self.method,
-        }
-        if self.witness is not None:
-            payload["witness"] = self.witness
+        payload = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

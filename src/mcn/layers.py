@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -38,6 +38,11 @@ class LayerSpec:
     def node_count(self) -> int:
         return self.n - self.r
 
+    @property
+    def numerator(self) -> int:
+        """s such that node m has ``s // m - (r == 0)`` successors: n - r, or n for r = 0."""
+        return self.n - self.r if self.r > 0 else self.n
+
 
 def first_successor(m, r: int):
     """Smallest successor of node m (an int or an array) in the layer with remainder r."""
@@ -54,29 +59,12 @@ def build_layer(spec: LayerSpec) -> Digraph:
     """
     r, n = spec.r, spec.n
     labels = np.arange(r + 1, n + 1, dtype=np.int64)
-    degrees = (n - r) // labels if r > 0 else n // labels - 1
+    degrees = spec.numerator // labels - (r == 0)
     indptr = np.append(0, np.cumsum(degrees))
     rows = np.repeat(np.arange(len(labels)), degrees)
     steps = np.arange(indptr[-1]) - indptr[rows]  # k for the (k+1)-th successor
     targets = first_successor(labels, r)[rows] + steps * labels[rows]
     return Digraph._from_csr(labels, indptr, targets - (r + 1))
-
-
-@dataclass(frozen=True)
-class MultiplexNetwork:
-    """A family of congruence layers over one node universe, keyed by remainder."""
-
-    n: int
-    layers: Mapping[int, Digraph]
-
-    @classmethod
-    def build(cls, remainders: list[int], n: int) -> "MultiplexNetwork":
-        if len(set(remainders)) != len(remainders):
-            raise ValueError("remainders must be unique")
-        return cls(n=n, layers={r: build_layer(LayerSpec(r, n)) for r in remainders})
-
-    def layer(self, r: int) -> Digraph:
-        return self.layers[r]
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,7 @@ def extract_chains(spec: LayerSpec) -> list[Chain]:
 
 @dataclass(frozen=True)
 class DegreeHistogram:
-    """Out-degree counts over every node of a graph."""
+    """Out-degree counts over every node of a layer."""
 
     counts: Mapping[int, int]
     total_nodes: int
@@ -129,12 +117,27 @@ class DegreeHistogram:
         return sum(k * c for k, c in self.counts.items())
 
 
-def empirical_distribution(g: Digraph) -> DegreeHistogram:
-    """Histogram of out-degrees, normalized over all nodes (sinks included)."""
-    degrees, counts = np.unique(g.out_degrees, return_counts=True)
-    return DegreeHistogram(
-        counts=dict(zip(degrees.tolist(), counts.tolist())), total_nodes=g.num_nodes
-    )
+def _floor_runs(s: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(s // m, run length)`` over the maximal runs of m in lo..hi with constant s // m.
+
+    s // m takes at most 2 sqrt(s) values and is 0 for every m > s: at most 2 sqrt(s) + 1 runs.
+    """
+    m = lo
+    while m <= hi:
+        q = s // m
+        last = min(hi, s // q) if q else hi
+        yield q, last - m + 1
+        m = last + 1
+
+
+def degree_histogram(spec: LayerSpec) -> DegreeHistogram:
+    """Out-degree histogram of a layer from arithmetic alone, in O(sqrt n) for n up to 10^12.
+
+    Node m has ``s // m - (r == 0)`` successors (``s = spec.numerator``), one
+    histogram entry per run of consecutive m with equal degree; no graph is built.
+    """
+    counts = {q - (spec.r == 0): c for q, c in _floor_runs(spec.numerator, spec.r + 1, spec.n)}
+    return DegreeHistogram(counts=counts, total_nodes=spec.node_count)
 
 
 def theoretical_pk(r: int, k: int) -> float:
@@ -156,13 +159,6 @@ def theoretical_pk(r: int, k: int) -> float:
     return 1.0 / ((k + 1) * (k + 2))
 
 
-def average_degree(g: Digraph) -> float:
-    """Exact mean out-degree: integer edge total divided by node count."""
-    if g.num_nodes == 0:
-        raise ValueError("graph has no nodes")
-    return g.num_edges / g.num_nodes
-
-
 def theoretical_average_degree(spec: LayerSpec) -> float:
     """Asymptotic mean out-degree of a layer.
 
@@ -173,13 +169,14 @@ def theoretical_average_degree(spec: LayerSpec) -> float:
 
     Both come from the Dirichlet estimate sum_{i<=s} floor(s/i)
     ~ s ln(s) + (2C - 1) s; the r > 0 correction removes the terms of the
-    first r divisors, which fall outside the node range.
+    first r divisors, which fall outside the node range. The correction is
+    summed over runs of constant floor(s / i), in O(sqrt s) whatever r is.
     """
     r, n = spec.r, spec.n
     if r == 0:
         return math.log(n) + 2.0 * EULER_GAMMA - 2.0
     size = n - r
-    correction = sum(size // i for i in range(1, r + 1)) / size
+    correction = sum(q * c for q, c in _floor_runs(size, 1, r)) / size
     return math.log(size) + 2.0 * EULER_GAMMA - 1.0 - correction
 
 

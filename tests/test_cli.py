@@ -55,6 +55,22 @@ def test_stats_csv_file(capsys, tmp_path):
     assert "0,25,0.5,0.5" in text  # half the divisibility nodes are sinks
 
 
+def test_stats_builds_no_graph(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("stats must not build a graph")
+
+    monkeypatch.setattr("mcn.layers.build_layer", fail)
+    monkeypatch.setattr("mcn.cli.build_layer", fail)
+    monkeypatch.setattr("mcn.digraph.Digraph._from_csr", fail)
+    code, out, err = run_cli(capsys, "stats", "--r", "1", "--n", str(10**9))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1].startswith(f"# nodes={10**9 - 1} edges=")
+    rows = [line.split(",") for line in lines[6:]]
+    assert sum(int(c) for _, c, _, _ in rows) == 10**9 - 1
+    assert f"edges={sum(int(k) * int(c) for k, c, _, _ in rows)}" in lines[1]
+
+
 # --- control -----------------------------------------------------------------
 
 
@@ -76,6 +92,16 @@ def test_control_roundtrip_through_edge_list(capsys, tmp_path):
     _, direct, _ = run_cli(capsys, "control", "--r", "3", "--n", "60", "--method", "both")
     _, from_file, _ = run_cli(capsys, "control", "--input", str(path), "--method", "both")
     assert direct == from_file
+
+
+def test_control_exact_over_budget_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "sf.tsv"
+    assert main(["sf", "--n", "2000", "--gamma", "2.5", "--kbar", "4", "--seed", "0", "--out", str(path)]) == 0
+    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**4)
+    code, out, err = run_cli(capsys, "control", "--input", str(path), "--method", "exact")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--method matching" in err
 
 
 def test_control_requires_a_graph(capsys):
@@ -145,6 +171,12 @@ def test_sf_deterministic_output(capsys, tmp_path):
     lines = data.splitlines()
     assert lines[0] == "# sf gamma=2.001 n=100 seed=7"
     assert len(lines) == 1 + 382
+
+
+def test_sf_rejects_infinite_kbar(capsys):
+    code, out, err = run_cli(capsys, "sf", "--n", "100", "--gamma", "2.5", "--kbar", "inf")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- crt ---------------------------------------------------------------------------
@@ -228,5 +260,5 @@ def test_memory_error_and_interrupt_print_one_line(capsys, monkeypatch, exc, cod
     def fail(spec):
         raise exc()
 
-    monkeypatch.setattr("mcn.cli.build_layer", fail)
+    monkeypatch.setattr("mcn.cli.degree_histogram", fail)
     assert run_cli(capsys, "stats", "--r", "1", "--n", "100") == (code, "", message)

@@ -192,6 +192,15 @@ def test_methods_agree_on_random_digraphs(seed):
     assert exact.n_d == matched.n_d
 
 
+def test_exact_elimination_stops_at_work_budget(monkeypatch):
+    from mcn import StaticModelSpec, generate_static_sf
+
+    g = generate_static_sf(StaticModelSpec(n=2000, gamma=2.5, kbar=4, seed=0))
+    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**4)
+    with pytest.raises(ValueError, match=r"-row core exceeds 10000 row updates; use --method matching"):
+        min_drivers_exact(g)
+
+
 def test_report_json_shape():
     rep = min_drivers_matching(build_layer(LayerSpec(1, 9)))
     assert rep.to_json() == (

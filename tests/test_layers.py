@@ -1,13 +1,15 @@
 import math
+import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcn import (
     LayerSpec,
-    MultiplexNetwork,
-    average_degree,
     build_layer,
-    empirical_distribution,
+    degree_histogram,
     extract_chains,
     theoretical_average_degree,
     theoretical_pk,
@@ -84,14 +86,6 @@ def test_out_degree_examples():
     assert big.out_degree(2) == 4999
 
 
-def test_multiplex_shares_ceiling():
-    net = MultiplexNetwork.build([1, 2, 3], 9)
-    assert set(net.layers) == {1, 2, 3}
-    assert net.layer(3).nodes == tuple(range(4, 10))
-    with pytest.raises(ValueError):
-        MultiplexNetwork.build([1, 1], 9)
-
-
 # --- chain decomposition -------------------------------------------------
 
 
@@ -142,34 +136,59 @@ def test_chain_partition_property(r, n):
 # --- degree statistics ----------------------------------------------------
 
 
-def test_empirical_distribution_g19():
+def test_degree_histogram_g19():
     # oracle: degree of each node via modular enumeration
     oracle = {}
     for m in range(2, 10):
         k = len(modular_successors(m, 1, 9))
         oracle[k] = oracle.get(k, 0) + 1
     assert oracle == {0: 1, 1: 4, 2: 2, 4: 1}
-    hist = empirical_distribution(build_layer(LayerSpec(1, 9)))
+    hist = degree_histogram(LayerSpec(1, 9))
     assert dict(hist.counts) == {0: 1, 1: 4, 2: 2, 4: 1}
     assert hist.total_nodes == 8
 
 
-def test_empirical_distribution_two_node_layer():
-    hist = empirical_distribution(build_layer(LayerSpec(1, 3)))
+def test_degree_histogram_two_node_layer():
+    hist = degree_histogram(LayerSpec(1, 3))
     assert dict(hist.counts) == {0: 1, 1: 1}
 
 
 def test_degree_one_fraction_near_half():
-    hist = empirical_distribution(build_layer(LayerSpec(1, 10000)))
+    hist = degree_histogram(LayerSpec(1, 10000))
     assert abs(hist.empirical_p(1) - 0.5) < 0.01 * 0.5
 
 
 @pytest.mark.parametrize("r,n", [(0, 200), (1, 200), (4, 333)])
 def test_histogram_conservation(r, n):
     g = build_layer(LayerSpec(r, n))
-    hist = empirical_distribution(g)
+    hist = degree_histogram(LayerSpec(r, n))
     assert sum(hist.counts.values()) == n - r == hist.total_nodes
     assert hist.degree_sum == g.num_edges
+
+
+@st.composite
+def layer_specs(draw):
+    r = draw(st.integers(0, 20))
+    return LayerSpec(r, draw(st.integers(r + 2, 2000) | st.integers(r + 2, 10**5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layer_specs())
+@example(LayerSpec(0, 10**5))
+def test_degree_histogram_matches_materialised_layer(spec):
+    g = build_layer(spec)
+    bins = np.bincount(g.out_degrees).tolist()
+    hist = degree_histogram(spec)
+    assert dict(hist.counts) == {k: c for k, c in enumerate(bins) if c}
+    assert hist.total_nodes == g.num_nodes
+    assert hist.degree_sum == g.num_edges
+
+
+def test_degree_histogram_run_count_at_1e12():
+    spec = LayerSpec(1, 10**12)
+    hist = degree_histogram(spec)
+    assert len(hist.counts) <= 2 * math.isqrt(spec.numerator) + 1
+    assert hist.total_nodes == 10**12 - 1
 
 
 def test_theoretical_pk_values():
@@ -191,7 +210,7 @@ def test_theoretical_pk_telescopes(K):
 
 
 def test_convergence_to_degree_law():
-    hist = empirical_distribution(build_layer(LayerSpec(2, 10000)))
+    hist = degree_histogram(LayerSpec(2, 10000))
     for k in range(1, 11):
         assert abs(hist.empirical_p(k) - theoretical_pk(2, k)) <= 0.01
 
@@ -199,21 +218,25 @@ def test_convergence_to_degree_law():
 # --- average degree -------------------------------------------------------
 
 
+def average_degree(spec):
+    """Exact mean out-degree, as ``mcn stats`` reports it."""
+    hist = degree_histogram(spec)
+    return hist.degree_sum / hist.total_nodes
+
+
 def test_average_degree_g1_100():
     # oracle: direct floor-sum of out-degrees
     total = sum(99 // i for i in range(2, 100))
     assert total == 374
-    g = build_layer(LayerSpec(1, 100))
-    assert average_degree(g) == 374 / 99
+    assert average_degree(LayerSpec(1, 100)) == 374 / 99
 
 
 def test_average_degree_small():
-    assert average_degree(build_layer(LayerSpec(1, 3))) == 0.5
+    assert average_degree(LayerSpec(1, 3)) == 0.5
 
 
 def test_average_degree_g1_10000_matches_theory():
-    g = build_layer(LayerSpec(1, 10000))
-    exact = average_degree(g)
+    exact = average_degree(LayerSpec(1, 10000))
     theory = math.log(9999) + 2 * EULER_GAMMA - 2
     assert abs(exact - 8.365236523652365) < 1e-12  # frozen oracle value
     assert abs(exact - theory) / theory < 0.01
@@ -228,10 +251,28 @@ def test_theoretical_average_degree_values():
     assert theoretical_average_degree(LayerSpec(2, 10000)) < v1
 
 
+def direct_theoretical_average_degree(r, n):
+    """Oracle for r > 0: the correction summed term by term, in O(r)."""
+    size = n - r
+    correction = sum(size // i for i in range(1, r + 1)) / size
+    return math.log(size) + 2.0 * EULER_GAMMA - 1.0 - correction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2000), st.integers(2, 5000))
+def test_theoretical_average_degree_matches_direct_sum(r, size):
+    assert theoretical_average_degree(LayerSpec(r, r + size)) == direct_theoretical_average_degree(r, r + size)
+
+
+def test_theoretical_average_degree_huge_remainder():
+    start = time.perf_counter()
+    value = theoretical_average_degree(LayerSpec(10**15, 10**15 + 5))
+    assert time.perf_counter() - start < 1.0
+    assert value == math.log(5) + 2.0 * EULER_GAMMA - 1.0 - (5 + 2 + 1 + 1 + 1) / 5
+
+
 def test_sparsity_trend_in_r():
-    values = [
-        average_degree(build_layer(LayerSpec(r, 10000))) for r in range(0, 11)
-    ]
+    values = [average_degree(LayerSpec(r, 10000)) for r in range(0, 11)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -239,7 +280,7 @@ def test_sparsity_trend_in_r():
 
 
 def test_histogram_csv_format():
-    hist = empirical_distribution(build_layer(LayerSpec(1, 9)))
+    hist = degree_histogram(LayerSpec(1, 9))
     buf = io.StringIO()
     write_histogram_csv(hist, 1, buf)
     lines = buf.getvalue().splitlines()

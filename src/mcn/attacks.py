@@ -178,27 +178,24 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
     prob = [w / total for w in weights]
 
     rng = derive_rng(spec.seed)
-    edges: set[tuple[int, int]] = set()
+    codes = np.empty(0, dtype=np.int64)  # distinct edges s * n + t, in first-draw order
     budget = 100 * m
     used = 0
-    while len(edges) < m:
+    while len(codes) < m:
         if used >= budget:
             raise RuntimeError(
                 f"edge budget not reached after {budget} draws "
-                f"({len(edges)}/{m} edges); graph too dense for this weight law"
+                f"({len(codes)}/{m} edges); graph too dense for this weight law"
             )
-        chunk = min(max(4096, 2 * (m - len(edges))), budget - used)
+        chunk = min(max(4096, 2 * (m - len(codes))), budget - used)
         sources = rng.choice(n, size=chunk, p=prob)
         targets = rng.choice(n, size=chunk, p=prob)
-        for s, t in zip(sources.tolist(), targets.tolist()):
-            used += 1
-            if s == t:
-                continue
-            edge = (s + 1, t + 1)
-            if edge in edges:
-                continue
-            edges.add(edge)
-            if len(edges) == m:
-                break
+        used += chunk
+        drawn = np.concatenate((codes, (sources * n + targets)[sources != targets]))
+        order = np.argsort(drawn, kind="stable")
+        first = np.sort(order[np.diff(drawn[order], prepend=-1) != 0])  # first draw of each code
+        codes = drawn[first][:m]
 
-    return Digraph.from_edges(range(1, n + 1), list(edges))
+    codes.sort()
+    indptr = np.searchsorted(codes // n, np.arange(n + 1))
+    return Digraph._from_csr(np.arange(1, n + 1, dtype=np.int64), indptr, codes % n)

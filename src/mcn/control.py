@@ -37,8 +37,8 @@ from .seeding import derive_rng
 # at most n/(p-1), about n/p: below 1e-14 for n <= 10^4.
 FIELD_PRIME = (1 << 61) - 1
 
-# Row-entry updates one elimination may spend: seconds of pure Python, and
-# enough for a static-model SF graph with n=10^4, kbar=6 (6.4e6 updates).
+# Row-entry updates one elimination may spend, seconds of pure Python: SF
+# graphs (gamma 2.5) need 1.2e5 at n=10^4, kbar=6 and 9.3e6 at n=10^4, kbar=8.
 ELIMINATION_BUDGET = 10**7
 
 
@@ -106,7 +106,11 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
     Processes rows in index order, reducing each against the pivot rows
     found so far; rows that vanish are linearly dependent on earlier ones.
-    Returns (rank, indices of dependent rows).
+    Returns (rank, indices of dependent rows). Each row pivots on its
+    largest column key, and a pivot row holds only smaller keys, so the
+    reduction terminates. Whether a row is dependent is fixed by the rows
+    before it, so any fixed column order gives the same rank and dependent
+    rows; the fewest-entry-first keys of ``_dependent_rows`` curb fill-in.
 
     Fill-in makes the work hard to predict, so the row-entry updates are a
     running count, not an up-front estimate: past ``ELIMINATION_BUDGET`` a
@@ -119,7 +123,7 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     for idx, row in enumerate(rows):
         row = dict(row)
         while row:
-            j = min(row)
+            j = max(row)
             piv = pivots.get(j)
             if piv is None:
                 inv = pow(row[j], p - 2, p)
@@ -196,8 +200,10 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
         live -= removed
     core = np.flatnonzero(row_live)
     position = np.cumsum(row_live) - 1
-    core_rows = _row_dicts(np.column_stack((position[entries[:, 0]], entries[:, 1:])), len(core))
-    core_rank, core_dependent = _eliminate(core_rows)
+    # columns keyed by descending core entry count, ties by index, for _eliminate's max(row) pivot
+    key = np.argsort(np.argsort(-np.bincount(entries[:, 1], minlength=n), kind="stable"), kind="stable")
+    entries = np.column_stack((position[entries[:, 0]], key[entries[:, 1]], entries[:, 2]))
+    core_rank, core_dependent = _eliminate(_row_dicts(entries, len(core)))
     dependent = np.sort(np.concatenate((np.flatnonzero(zero), core[core_dependent])))
     peeled_rank = n - int(zero.sum()) - len(core)
     return peeled_rank + core_rank, dependent.tolist()
@@ -253,17 +259,12 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     generic rank; pass ``weighting="random"`` to sample the generic case
     instead.
 
-    Before elimination, singleton lines are peeled in rounds:
-
-    * a zero row is dependent: its node is a driver;
-    * a row that is the only live row of some column is independent;
-    * a row with one live entry, in a column where it is the first live
-      row, is independent, and that column is deleted from later rows.
-
-    Each rule settles a row exactly as elimination in label order would, in
-    any field and without fill-in, so the rank and the driver set are
-    unchanged; the peel stops once a round removes fewer than 1/64 of the
-    live rows, and only the remaining core is eliminated.
+    Before elimination, zero rows (drivers) and singleton rows and columns
+    are peeled in rounds, by the rules listed in ``_dependent_rows``. Each
+    settles a row exactly as elimination in label order would, in any field
+    and without fill-in, so the rank and the driver set are unchanged; the
+    peel stops once a round removes fewer than 1/64 of the live rows, and
+    only the remaining core is eliminated.
     """
     if g.num_nodes == 0:
         raise ValueError("graph has no nodes")

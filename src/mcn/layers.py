@@ -136,6 +136,8 @@ def degree_histogram(spec: LayerSpec) -> DegreeHistogram:
     Node m has ``s // m - (r == 0)`` successors (``s = spec.numerator``), one
     histogram entry per run of consecutive m with equal degree; no graph is built.
     """
+    if spec.n > 10**12:
+        raise ValueError(f"degree histogram is limited to n <= 10^12, got n={spec.n}")
     counts = {q - (spec.r == 0): c for q, c in _floor_runs(spec.numerator, spec.r + 1, spec.n)}
     return DegreeHistogram(counts=counts, total_nodes=spec.node_count)
 

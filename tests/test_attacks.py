@@ -5,6 +5,7 @@ import pytest
 
 from mcn import (
     AttackStrategy,
+    Digraph,
     LayerSpec,
     StaticModelSpec,
     attack_curve,
@@ -13,6 +14,7 @@ from mcn import (
     min_drivers_matching,
     remove_nodes,
 )
+from mcn.seeding import derive_rng
 
 
 def survivors_after(n_nodes, p):
@@ -167,6 +169,67 @@ def test_static_sf_validation():
         StaticModelSpec(n=10, gamma=2.5, kbar=0.0)
     with pytest.raises(ValueError):
         generate_static_sf(StaticModelSpec(n=10, gamma=2.5, kbar=20.0))
+
+
+def reference_static_sf(spec):
+    """Oracle: the static model drawn edge by edge into a set of tuples."""
+    n, m = spec.n, spec.num_edges
+    if m > n * (n - 1):
+        raise ValueError(f"{m} edges requested but only {n * (n - 1)} are possible")
+    alpha = 1.0 / (spec.gamma - 1.0)
+    weights = [float(i) ** (-alpha) for i in range(1, n + 1)]
+    total = math.fsum(weights)
+    prob = [w / total for w in weights]
+    rng = derive_rng(spec.seed)
+    edges = set()
+    budget = 100 * m
+    used = 0
+    while len(edges) < m:
+        if used >= budget:
+            raise RuntimeError(
+                f"edge budget not reached after {budget} draws "
+                f"({len(edges)}/{m} edges); graph too dense for this weight law"
+            )
+        chunk = min(max(4096, 2 * (m - len(edges))), budget - used)
+        sources = rng.choice(n, size=chunk, p=prob)
+        targets = rng.choice(n, size=chunk, p=prob)
+        for s, t in zip(sources.tolist(), targets.tolist()):
+            used += 1
+            if s == t:
+                continue
+            edge = (s + 1, t + 1)
+            if edge in edges:
+                continue
+            edges.add(edge)
+            if len(edges) == m:
+                break
+    return Digraph.from_edges(range(1, n + 1), list(edges))
+
+
+def reference_grid():
+    """(n, kbar) pairs: no edges, sparse, mean degree 5 and, for small n, (almost) all n(n-1) edges."""
+    for n in (2, 10, 150, 350, 2000):
+        dense = (n - 1 - 1 / n, n - 1) if n <= 10 else ()
+        for kbar in (0.4 / n, 1.0, 5.0, *dense):
+            if round(kbar * n) <= n * (n - 1):
+                yield n, kbar
+
+
+@pytest.mark.parametrize("gamma", [2.2, 2.5, 3.0, 1e6])
+@pytest.mark.parametrize("n,kbar", list(reference_grid()))
+def test_static_sf_matches_set_reference(n, kbar, gamma):
+    for seed in range(3):
+        spec = StaticModelSpec(n=n, gamma=gamma, kbar=kbar, seed=seed)
+        assert generate_static_sf(spec) == reference_static_sf(spec)
+
+
+def test_static_sf_exhausted_budget_matches_reference():
+    spec = StaticModelSpec(n=60, gamma=2.0001, kbar=59, seed=1)
+    message = r"^edge budget not reached after 354000 draws \(3539/3540 edges\); graph too dense for this weight law$"
+    with pytest.raises(RuntimeError, match=message):
+        reference_static_sf(spec)
+    with pytest.raises(RuntimeError, match=message):
+        generate_static_sf(spec)
 
 
 def test_unremoved_points_match_once(monkeypatch):

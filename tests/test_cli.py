@@ -71,6 +71,14 @@ def test_stats_builds_no_graph(capsys, monkeypatch):
     assert f"edges={sum(int(k) * int(c) for k, c, _, _ in rows)}" in lines[1]
 
 
+def test_stats_beyond_1e12_exits_2(capsys, tmp_path):
+    path = tmp_path / "hist.csv"
+    code, out, err = run_cli(capsys, "stats", "--r", "1", "--n", str(10**13), "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "10^12" in err
+
+
 # --- control -----------------------------------------------------------------
 
 
@@ -97,11 +105,19 @@ def test_control_roundtrip_through_edge_list(capsys, tmp_path):
 def test_control_exact_over_budget_exits_2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "sf.tsv"
     assert main(["sf", "--n", "2000", "--gamma", "2.5", "--kbar", "4", "--seed", "0", "--out", str(path)]) == 0
-    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**4)
+    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**3)
     code, out, err = run_cli(capsys, "control", "--input", str(path), "--method", "exact")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--method matching" in err
+
+
+def test_control_exact_sf_n2000_kbar7_exits_0(capsys, tmp_path):
+    path = tmp_path / "sf.tsv"
+    assert main(["sf", "--n", "2000", "--gamma", "2.5", "--kbar", "7", "--seed", "1", "--out", str(path)]) == 0
+    code, out, err = run_cli(capsys, "control", "--input", str(path), "--method", "exact")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n_nodes"] == 2000
 
 
 def test_control_requires_a_graph(capsys):

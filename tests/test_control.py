@@ -196,8 +196,8 @@ def test_exact_elimination_stops_at_work_budget(monkeypatch):
     from mcn import StaticModelSpec, generate_static_sf
 
     g = generate_static_sf(StaticModelSpec(n=2000, gamma=2.5, kbar=4, seed=0))
-    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**4)
-    with pytest.raises(ValueError, match=r"-row core exceeds 10000 row updates; use --method matching"):
+    monkeypatch.setattr("mcn.control.ELIMINATION_BUDGET", 10**3)
+    with pytest.raises(ValueError, match=r"-row core exceeds 1000 row updates; use --method matching"):
         min_drivers_exact(g)
 
 

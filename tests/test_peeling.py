@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcn import (
+    FIELD_PRIME,
     Digraph,
     LayerSpec,
     StaticModelSpec,
@@ -40,6 +41,41 @@ def reference(g, weighting="unit", seed=0):
 def assert_matches_reference(g, weighting="unit", seed=0):
     ref_rank, ref_dependent = reference(g, weighting, seed)
     assert rank(coupling_matrix(g, weighting=weighting, seed=seed)) == ref_rank
+    report = min_drivers_exact(g, weighting=weighting, seed=seed)
+    assert report.rank == ref_rank
+    assert report.drivers == tuple(g.labels[ref_dependent or [0]].tolist())
+
+
+def leftmost_eliminate(rows):
+    """Oracle: elimination of every row on its leftmost column, with no peeling and no work budget."""
+    p = FIELD_PRIME
+    pivots = {}
+    dependent = []
+    for idx, row in enumerate(rows):
+        row = dict(row)
+        while row:
+            j = min(row)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(row[j], p - 2, p)
+                pivots[j] = {c: (v * inv) % p for c, v in row.items()}
+                break
+            f = row.pop(j)
+            for c, v in piv.items():
+                if c == j:
+                    continue
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        else:
+            dependent.append(idx)
+    return len(pivots), dependent
+
+
+def assert_matches_leftmost(g, weighting="unit", seed=0):
+    ref_rank, ref_dependent = leftmost_eliminate(coupling_matrix(g, weighting=weighting, seed=seed).rows())
     report = min_drivers_exact(g, weighting=weighting, seed=seed)
     assert report.rank == ref_rank
     assert report.drivers == tuple(g.labels[ref_dependent or [0]].tolist())
@@ -112,3 +148,26 @@ def test_static_sf_n2000_finishes():
     exact = min_drivers_exact(g)
     assert exact.n_d >= min_drivers_matching(g).n_d
     assert len(exact.drivers) == exact.n_d
+
+
+@SETTINGS
+@given(digraphs())
+def test_unit_weights_match_leftmost_pivots(g):
+    assert_matches_leftmost(g)
+
+
+@SETTINGS
+@given(digraphs(), st.integers(0, 2**32 - 1))
+def test_random_weights_match_leftmost_pivots(g, seed):
+    assert_matches_leftmost(g, weighting="random", seed=seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(150, 350), st.integers(3, 5), st.sampled_from([2.2, 2.5, 3.0]),
+    st.sampled_from(["unit", "random"]), st.integers(0, 2**32 - 1),
+)
+def test_static_sf_cores_match_leftmost_pivots(n, kbar, gamma, weighting, seed):
+    # the oracle eliminates all n rows unpeeled, about a second each at n=350
+    g = generate_static_sf(StaticModelSpec(n, gamma, kbar, seed=seed))
+    assert_matches_leftmost(g, weighting=weighting, seed=seed)

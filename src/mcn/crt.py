@@ -6,15 +6,10 @@ x0 in [0, M), M the product of the moduli. Two solvers are provided:
 * graphical: in the congruence layer with remainder r_i, the successors of
   node m_i are exactly the candidates exceeding m_i, so the smallest common
   successor of the moduli nodes across their layers is a witness for the
-  solution; reducing it mod M recovers x0. It is found by walking the
-  successor list of the largest-modulus node and testing each successor
-  against the other congruences.
+  solution; reducing it mod M recovers x0. It is found by intersecting
+  the successor lists one node at a time (search by sieving).
 * Garner: classic mixed-radix reconstruction via modular inverses of the
-  partial modulus products.
-
-The graphical route is a brute-force walk of at most (M + max m) // max m
-steps and exists for its explanatory value; Garner is the algebraic
-reference.
+  partial modulus products, kept as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,8 +22,8 @@ from itertools import combinations
 from .layers import first_successor
 
 MAX_MODULUS_PRODUCT = 1 << 63
-# The graphical walk visits at most (M + max m) // max m successors; above
-# this many it refuses up front instead of running for minutes.
+# The graphical search takes at most the sum of the non-largest moduli in
+# steps; above this many it refuses up front instead of running for minutes.
 GRAPHICAL_STEP_BUDGET = 10**6
 
 
@@ -76,16 +71,16 @@ class CongruenceSystem:
 
 
 def validate_system(system: CongruenceSystem) -> None:
-    """Reject systems without a unique solution or beyond native-integer scale."""
+    """Reject systems beyond native-integer scale or without a unique solution."""
+    product = 1
+    for c in system.items:  # moduli >= 2: over 2^63 within 63 factors, before any gcd
+        product *= c.modulus
+        if product >= MAX_MODULUS_PRODUCT:
+            raise ValueError("modulus product exceeds the supported bound 2^63")
     for a, b in combinations((c.modulus for c in system.items), 2):
         g = math.gcd(a, b)
         if g != 1:
             raise NonCoprimeModuliError(a, b, g)
-    if system.modulus_product >= MAX_MODULUS_PRODUCT:
-        raise ValueError(
-            f"modulus product {system.modulus_product} exceeds the "
-            f"supported bound 2^63"
-        )
 
 
 @dataclass(frozen=True)
@@ -120,32 +115,33 @@ def successor_set(r: int, m: int, limit: int) -> list[int]:
 def solve_graphical(system: CongruenceSystem) -> CrtSolution:
     """Solve by finding the smallest common successor of the moduli nodes.
 
-    The search walks the successor list of the largest-modulus node m* in
-    its layer r*, lazily, up to the layer ceiling N = M + m*, and stops at
-    the first x with x = r_i (mod m_i) for every other congruence. Every x
-    on the walk exceeds m*, which exceeds every other m_i, so that x is a
+    The search starts at the first successor x of the largest-modulus node
+    m* in its layer r*, with period m*. For each other congruence it steps
+    x by the period until x = r_i (mod m_i), then multiplies the period by
+    m_i. The period is coprime to m_i, so this takes fewer than m_i steps,
+    and x stays the smallest number above m* that satisfies every
+    congruence so far. As m* exceeds every other m_i, the final x is a
     successor of every moduli node: it is the minimum of the intersection
-    of successor_set(r_i, m_i, N). The CRT places exactly one solution in
-    (m*, m* + M], so the walk always hits; the ceiling extends one period
-    beyond M because successors are strictly larger than their node, and
-    x0 is the witness reduced mod M.
+    of their successor lists, and x0 is this witness reduced mod M.
 
-    Raises ValueError, before searching, when the walk's length bound
-    (M + max m) // max m exceeds GRAPHICAL_STEP_BUDGET.
+    Raises ValueError, before searching, when the step bound, the sum of
+    the moduli other than m*, exceeds GRAPHICAL_STEP_BUDGET.
     """
     validate_system(system)
     big_m = system.modulus_product
     top = max(system.items, key=lambda c: c.modulus)
-    steps = (big_m + top.modulus) // top.modulus
+    others = [c for c in system.items if c is not top]
+    steps = sum(c.modulus for c in others)
     if steps > GRAPHICAL_STEP_BUDGET:
         raise ValueError(
             f"graphical search would take about {steps} steps, over the budget of "
             f"{GRAPHICAL_STEP_BUDGET}; use --method garner"
         )
-    ceiling = big_m + top.modulus
-    walk = range(first_successor(top.modulus, top.remainder), ceiling + 1, top.modulus)
-    others = [(c.remainder, c.modulus) for c in system.items if c is not top]
-    witness = next(x for x in walk if all(x % m == r for r, m in others))
+    witness, period = first_successor(top.modulus, top.remainder), top.modulus
+    for c in others:
+        while witness % c.modulus != c.remainder:
+            witness += period
+        period *= c.modulus
     return CrtSolution(
         x0=witness % big_m,
         modulus_product=big_m,

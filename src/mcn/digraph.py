@@ -23,8 +23,8 @@ def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
     """Validate a simple digraph and return its arrays ``(labels, indptr, indices)``.
 
     ``pairs`` lists the edges (i, j) grouped by ascending source, each
-    source's targets in strictly increasing order, which also rules out
-    duplicate edges. Every validating constructor funnels through here.
+    source's targets in strictly increasing order; a repeated edge is named
+    as a duplicate. Every validating constructor funnels through here.
     """
     labels = np.sort(_integers(nodes, "node labels"))
     if labels.size and labels[0] < 1:
@@ -41,8 +41,9 @@ def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
     reject(~np.isin(edges[:, 0], labels), "edge {i}->{j} starts outside the node set")
     reject(~np.isin(edges[:, 1], labels), "edge {i}->{j} points outside the node set")
     reject(src == dst, "self-loop on node {i}")
-    unordered = (src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])
-    reject(np.append(False, unordered), "successor list of node {i} is not strictly increasing")
+    same_row = src[1:] == src[:-1]
+    reject(np.append(False, same_row & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
+    reject(np.append(False, same_row & (dst[1:] < dst[:-1])), "successor list of node {i} is not strictly increasing")
     return labels, np.searchsorted(src, np.arange(len(labels) + 1)), dst
 
 

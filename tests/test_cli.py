@@ -250,8 +250,9 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("method", ["both", "graph"])
 def test_crt_over_step_budget_exits_2(capsys, method):
+    # the graphical search needs 1000003 steps, the smaller modulus
     code, out, err = run_cli(
-        capsys, "crt", "1 mod 9949", "2 mod 9967", "3 mod 9973", "--method", method
+        capsys, "crt", "1 mod 1000003", "2 mod 1000033", "--method", method
     )
     assert code == 2
     assert out == ""
@@ -261,11 +262,42 @@ def test_crt_over_step_budget_exits_2(capsys, method):
 
 def test_crt_over_step_budget_answers_with_garner(capsys):
     code, out, _ = run_cli(
-        capsys, "crt", "1 mod 9949", "2 mod 9967", "3 mod 9973", "--method", "garner"
+        capsys, "crt", "1 mod 1000003", "2 mod 1000033", "--method", "garner"
     )
     assert code == 0
     x0 = json.loads(out)["x0"]
-    assert [x0 % m for m in (9949, 9967, 9973)] == [1, 2, 3]
+    assert [x0 % m for m in (1000003, 1000033)] == [1, 2]
+
+
+def test_crt_three_primes_near_1e4_answers_graphically(capsys):
+    # 9949 + 9967 steps; the walk over successors of node 9973 needed about 10^8
+    code, out, err = run_cli(
+        capsys, "crt", "1 mod 9949", "2 mod 9967", "3 mod 9973", "--method", "both"
+    )
+    assert (code, err) == (0, "")
+    graphical, garner = (json.loads(line) for line in out.splitlines())
+    assert graphical["method"] == "graphical"
+    assert graphical["x0"] == garner["x0"]
+    assert [garner["x0"] % m for m in (9949, 9967, 9973)] == [1, 2, 3]
+
+
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+@pytest.mark.parametrize("extra", [[], ["1 mod 4"]], ids=["coprime", "shared-factor"])
+def test_crt_oversized_product_exits_2_with_one_short_line(capsys, extra):
+    # the bound is checked before the pairwise gcds, so a shared factor does not exit 3
+    argv = [f"1 mod {p}" for p in first_primes(4000)] + extra
+    code, out, err = run_cli(capsys, "crt", *argv, "--method", "garner")
+    assert (code, out) == (2, "")
+    assert err == "error: modulus product exceeds the supported bound 2^63\n"
 
 
 @pytest.mark.parametrize(

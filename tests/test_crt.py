@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from mcn import (
     Congruence,
     CongruenceSystem,
+    CrtSolution,
     NonCoprimeModuliError,
     solve_garner,
     solve_graphical,
     successor_set,
     validate_system,
 )
+from mcn.layers import first_successor
 
 PRIMES_BELOW_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -52,6 +54,16 @@ def coprime_systems(draw):
             break
         moduli.append(draw(st.sampled_from(choices)))
     return CongruenceSystem.from_pairs([(draw(st.integers(0, m - 1)), m) for m in moduli])
+
+
+def walk_solution(system):
+    """Reference: walk the successors of the largest-modulus node up to M + max m."""
+    big_m = system.modulus_product
+    top = max(system.items, key=lambda c: c.modulus)
+    walk = range(first_successor(top.modulus, top.remainder), big_m + top.modulus + 1, top.modulus)
+    others = [(c.remainder, c.modulus) for c in system.items if c is not top]
+    witness = next(x for x in walk if all(x % m == r for r, m in others))
+    return CrtSolution(x0=witness % big_m, modulus_product=big_m, witness=witness, method="graphical")
 
 
 # --- validation ---------------------------------------------------------------
@@ -202,17 +214,17 @@ def test_solution_json():
 def test_graphical_refuses_over_step_budget():
     from mcn.crt import GRAPHICAL_STEP_BUDGET
 
-    system = CongruenceSystem.from_pairs([(1, 9949), (2, 9967), (3, 9973)])
-    steps = (system.modulus_product + 9973) // 9973
+    system = CongruenceSystem.from_pairs([(1, 1000003), (2, 1000033)])
+    steps = 1000003  # the sum of the moduli other than the largest
     assert steps > GRAPHICAL_STEP_BUDGET
     with pytest.raises(ValueError, match="--method garner"):
         solve_graphical(system)
     x0 = solve_garner(system).x0
-    assert [x0 % m for m in (9949, 9967, 9973)] == [1, 2, 3]
+    assert [x0 % m for m in (1000003, 1000033)] == [1, 2]
 
 
 def test_graphical_budget_admits_every_small_system():
-    # the largest system random_system draws: (37*41*43*47 + 47) // 47 = 65232 steps
+    # the largest system random_system draws: 37 + 41 + 43 = 121 steps
     system = CongruenceSystem.from_pairs([(1, 37), (2, 41), (3, 43), (4, 47)])
     assert solve_graphical(system).x0 == solve_garner(system).x0
 
@@ -229,3 +241,9 @@ def test_graphical_garner_and_scan_agree_on_coprime_systems(system):
     )
     assert graphical.witness == min(common)
     assert largest < graphical.witness <= big_m + largest
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_systems())
+def test_graphical_json_matches_the_successor_walk(system):
+    assert solve_graphical(system).to_json() == walk_solution(system).to_json()

@@ -51,3 +51,10 @@ def test_cli_reports_header_mismatch(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: line 2:")
     assert err.count("\n") == 1
+
+
+def test_cli_names_a_duplicate_edge(capsys, tmp_path):
+    path = tmp_path / "dup.tsv"
+    path.write_text("# mcn r=1 n=9\n2\t3\n2\t3\n")
+    code = main(["control", "--input", str(path)])
+    assert (code, capsys.readouterr().err) == (2, "error: duplicate edge 2->3\n")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from mcn import (
     Digraph,
     FIELD_PRIME,
     LayerSpec,
+    StaticModelSpec,
     build_layer,
     coupling_matrix,
     extract_chains,
+    generate_static_sf,
     min_drivers_exact,
     min_drivers_matching,
     rank,
@@ -91,6 +95,30 @@ def test_random_weighting_same_sparsity_pattern():
     assert rand != coupling_matrix(g, weighting="random", seed=6)
     with pytest.raises(ValueError):
         coupling_matrix(g, weighting="gaussian")
+
+
+# sha256 of the (row, column, weight) int64 entries of random-weight coupling
+# matrices. No CLI command draws these weights, so the golden CLI hashes do
+# not pin that stream. Keys: an int, a tuple and an int above 2^32.
+RANDOM_WEIGHT_SHA256 = {
+    ("layer", 7): "66a1b654a50c906a578486579e0665e2acf0665581515e0e006f313b4c907dec",
+    ("layer", (7, 2, 5)): "2a4d0f9114dc1aa325dc3c59c52d58511b24e705a5accaef398c5eb86d0ca8c8",
+    ("layer", 2**40): "179e4035b87568ddde66b06be41ea0cdb9258f0ff14349b1e68e64f1e6962e3d",
+    ("sf", 7): "e971a612b0afe6e527f120967a2ba2e6a045de786c1c4b21ec33a7fdda63b379",
+    ("sf", (7, 2, 5)): "2adbbe3dddb968872491aa503954595ec39ed9a1b326f2a24846e0ba2f1c32c4",
+    ("sf", 2**40): "176b5c791889254481c8235e7814a205a012dd0cc67a2f2daad7d3f5e3749630",
+}
+
+
+@pytest.mark.parametrize("graph, seed", sorted(RANDOM_WEIGHT_SHA256, key=repr))
+def test_random_weights_are_pinned(graph, seed):
+    if graph == "layer":
+        g = build_layer(LayerSpec(1, 30))
+    else:
+        g = generate_static_sf(StaticModelSpec(n=40, gamma=2.5, kbar=2, seed=3))
+    entries = coupling_matrix(g, weighting="random", seed=seed).entries
+    digest = hashlib.sha256(entries.astype("<i8").tobytes()).hexdigest()
+    assert digest == RANDOM_WEIGHT_SHA256[graph, seed]
 
 
 @pytest.mark.parametrize("r,n", [(0, 9), (1, 9), (3, 60), (7, 200)])

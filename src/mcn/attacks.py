@@ -18,7 +18,6 @@ import numpy as np
 
 from .control import min_drivers_matching
 from .digraph import Digraph
-from .seeding import derive_rng
 
 
 class AttackStrategy(str, Enum):
@@ -57,7 +56,7 @@ def remove_nodes(
     if strategy is AttackStrategy.TARGETED:
         removed = g.labels[np.lexsort((g.labels, -g.out_degrees))[:count]]
     else:
-        removed = derive_rng(seed).choice(g.labels, size=count, replace=False)
+        removed = np.random.default_rng(seed).choice(g.labels, size=count, replace=False)
     return g.subgraph(np.setdiff1d(g.labels, removed, assume_unique=True))
 
 
@@ -177,7 +176,7 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
     total = math.fsum(weights)
     prob = [w / total for w in weights]
 
-    rng = derive_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     codes = np.empty(0, dtype=np.int64)  # distinct edges s * n + t, in first-draw order
     budget = 100 * m
     used = 0

@@ -27,7 +27,7 @@ from .layers import (
     write_histogram_csv,
 )
 
-_CONGRUENCE = re.compile(r"^\s*(\d+)\s+mod\s+(\d+)\s*$")
+_CONGRUENCE = re.compile(r"^\s*0*(\d+)\s+mod\s+0*(\d+)\s*$")  # groups without leading zeros
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +121,8 @@ def _cmd_crt(args: argparse.Namespace) -> int:
         m = _CONGRUENCE.match(text)
         if not m:
             raise ValueError(f'cannot parse congruence {text!r}; expected "<r> mod <m>"')
+        if len(m.group(1)) > 19 or len(m.group(2)) > 19:  # at least 10^19 > 2^63
+            raise ValueError("remainder or modulus exceeds the supported bound 2^63")
         pairs.append((int(m.group(1)), int(m.group(2))))
     system = CongruenceSystem.from_pairs(pairs)
     if args.method in ("graph", "both"):
@@ -197,8 +199,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except NonCoprimeModuliError as exc:
@@ -216,7 +221,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
-
-
-if __name__ == "__main__":
-    sys.exit(main())

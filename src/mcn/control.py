@@ -28,7 +28,6 @@ import numpy as np
 
 from .digraph import Digraph
 from .matching import hopcroft_karp
-from .seeding import derive_rng
 
 # Elimination runs over GF(p) with a Mersenne prime near 2^61, so arithmetic
 # is exact. Under independent uniform nonzero weights every minor of A is a
@@ -94,7 +93,7 @@ def coupling_matrix(g: Digraph, weighting: str = "unit", seed: int | tuple[int, 
     if weighting == "unit":
         weights = np.ones_like(rows)
     elif weighting == "random":
-        weights = derive_rng(seed).integers(1, FIELD_PRIME, size=len(rows))
+        weights = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=len(rows))
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
     entries = np.column_stack((rows, cols, weights))[np.lexsort((cols, rows))]

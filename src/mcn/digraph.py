@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from itertools import chain
 from typing import IO, Union
 
 import numpy as np
@@ -203,29 +204,26 @@ def read_edge_list(file: FileOrPath) -> Digraph:
 
 def _read_edge_list(fh: IO[str]) -> Digraph:
     header = nodes = fits = None  # a recognised header, its node range and its edge rule
+    lines = enumerate(fh, 1)
+    # the first non-blank line is the only one that can be a header
+    first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
+    if m := _MCN_HEADER.match(first[1]):
+        r, n = int(m.group(1)), int(m.group(2))
+        header, nodes = first[1], np.arange(r + 1, n + 1)
+        fits = lambda i, j: r < i < j <= n and j % i == r
+    elif m := _SF_HEADER.match(first[1]):
+        n = int(m.group(2))
+        header, nodes = first[1], np.arange(1, n + 1)
+        fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
     sources: list[int] = []
     targets: list[int] = []
-    first = True
-    for lineno, line in enumerate(fh, 1):
+    for lineno, line in chain((first,), lines):
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
-        is_first, first = first, False
-        if line.startswith("#"):
-            if is_first and (m := _MCN_HEADER.match(line)):
-                r, n = int(m.group(1)), int(m.group(2))
-                header, nodes = line, np.arange(r + 1, n + 1)
-                fits = lambda i, j: r < i < j <= n and j % i == r
-            elif is_first and (m := _SF_HEADER.match(line)):
-                n = int(m.group(2))
-                header, nodes = line, np.arange(1, n + 1)
-                fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            a, b = line.split("\t")  # a wrong field count raises here too
+            i, j = int(a), int(b)
         except ValueError:
             raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
         if fits is not None and not fits(i, j):

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from mcn import (
@@ -14,7 +15,6 @@ from mcn import (
     min_drivers_matching,
     remove_nodes,
 )
-from mcn.seeding import derive_rng
 
 
 def survivors_after(n_nodes, p):
@@ -180,7 +180,7 @@ def reference_static_sf(spec):
     weights = [float(i) ** (-alpha) for i in range(1, n + 1)]
     total = math.fsum(weights)
     prob = [w / total for w in weights]
-    rng = derive_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     edges = set()
     budget = 100 * m
     used = 0

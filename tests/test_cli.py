@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -298,6 +299,32 @@ def test_crt_oversized_product_exits_2_with_one_short_line(capsys, extra):
     code, out, err = run_cli(capsys, "crt", *argv, "--method", "garner")
     assert (code, out) == (2, "")
     assert err == "error: modulus product exceeds the supported bound 2^63\n"
+
+
+@pytest.mark.parametrize(
+    "congruence", ["1 mod 1" + "0" * 5000, "1" + "0" * 5000 + " mod 7"], ids=["modulus", "remainder"]
+)
+def test_crt_oversized_number_exits_2_with_one_short_line(capsys, congruence):
+    # 5000 digits is past Python's int-from-text limit; the check runs before int()
+    code, out, err = run_cli(capsys, "crt", congruence, "2 mod 3")
+    assert (code, out) == (2, "")
+    assert err == "error: remainder or modulus exceeds the supported bound 2^63\n"
+
+
+def test_crt_leading_zeros_do_not_count_as_digits(capsys):
+    code, out, err = run_cli(capsys, "crt", "0" * 30 + "4 mod 0000000000000000000007", "2 mod 3")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["x0"] for line in out.splitlines()] == [11, 11]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("main must reuse the parser built at import")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", fail)
+    code, out, err = run_cli(capsys, "crt", "2 mod 3", "3 mod 5", "--method", "both")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["x0"] for line in out.splitlines()] == [8, 8]
 
 
 @pytest.mark.parametrize(

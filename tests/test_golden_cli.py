@@ -7,6 +7,7 @@ that includes a numpy scalar reaching a ``repr`` (``np.float64(...)``) or
 ``json.dumps`` (which rejects numpy integers).
 """
 
+import argparse
 import hashlib
 from pathlib import Path
 
@@ -76,3 +77,22 @@ def test_cli_output_bytes_unchanged(name, tmp_path, monkeypatch, capsys):
     data = output_bytes(name, tmp_path, capsys)
     assert b"np." not in data
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+def test_one_parser_serves_every_case_after_an_argparse_error(tmp_path, monkeypatch, capsys):
+    # One process, no parser built per call, and a usage error (exit 2) halfway
+    # through: every later command still prints its golden bytes.
+    def fail(*args, **kwargs):
+        raise AssertionError("main must reuse the parser built at import")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", fail)
+    monkeypatch.chdir(tmp_path)
+    names = sorted(CASES)
+    for k, name in enumerate(names):
+        if k == len(names) // 2:
+            with pytest.raises(SystemExit) as exc:
+                main(["attack", "--r", "1", "--n", "50"])  # missing --strategy
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("error:")
+        data = output_bytes(name, tmp_path, capsys)
+        assert hashlib.sha256(data).hexdigest() == GOLDEN[name], name

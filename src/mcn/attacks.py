@@ -120,12 +120,10 @@ def attack_curve(
             survivor = remove_nodes(g, strategy, p, seed=(seed, ip, t))
             if survivor.num_nodes == 0:
                 raise ValueError(f"removal fraction {p} leaves no nodes")
-            if survivor is g:
-                # nothing removed: every trial would match the same graph
-                densities = [min_drivers_matching(g).n_d / g.num_nodes] * trials
+            densities.append(min_drivers_matching(survivor).n_d / survivor.num_nodes)
+            if survivor is g:  # nothing removed: every trial would match the same graph
+                densities *= trials
                 break
-            report = min_drivers_matching(survivor)
-            densities.append(report.n_d / survivor.num_nodes)
         points.append(
             AttackPoint(
                 p=p,

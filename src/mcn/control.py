@@ -284,8 +284,8 @@ def min_drivers_matching(g: Digraph) -> ControlReport:
     ptr, indices = g.indptr.tolist(), g.indices.tolist()
     adj = [indices[ptr[k]:ptr[k + 1]] for k in range(g.num_nodes)]
     _, match_r = hopcroft_karp(adj, g.num_nodes)
-    size = sum(1 for w in match_r if w >= 0)
-    return _report(g, size, [v for v, w in enumerate(match_r) if w < 0], "matching")
+    drivers = [v for v, w in enumerate(match_r) if w < 0]
+    return _report(g, g.num_nodes - len(drivers), drivers, "matching")
 
 
 @dataclass(frozen=True)

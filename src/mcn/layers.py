@@ -55,16 +55,20 @@ def build_layer(spec: LayerSpec) -> Digraph:
     Node m links to m+r, 2m+r, ... for r > 0, and to its proper multiples
     2m, 3m, ... for r = 0, all truncated at the ceiling: floor((N-r)/m)
     successors, or floor(N/m) - 1 for r = 0. The layer has ~N ln N edges,
-    fine at desk scale; its CSR arrays are filled in one vectorised pass.
+    fine at desk scale. Its targets are one in-place running sum over one
+    edge-sized array: each row steps by its label, and a row's first slot
+    jumps from the previous row's last target to the row's first successor.
     """
     r, n = spec.r, spec.n
     labels = np.arange(r + 1, n + 1, dtype=np.int64)
     degrees = spec.numerator // labels - (r == 0)
     indptr = np.append(0, np.cumsum(degrees))
-    rows = np.repeat(np.arange(len(labels)), degrees)
-    steps = np.arange(indptr[-1]) - indptr[rows]  # k for the (k+1)-th successor
-    targets = first_successor(labels, r)[rows] + steps * labels[rows]
-    return Digraph._from_csr(labels, indptr, targets - (r + 1))
+    rows = np.flatnonzero(degrees)
+    first = first_successor(labels[rows], r) - (r + 1)  # target positions
+    last = first + (degrees[rows] - 1) * labels[rows]
+    indices = np.repeat(labels, degrees)
+    indices[indptr[rows]] = first - np.append(0, last[:-1])
+    return Digraph._from_csr(labels, indptr, np.cumsum(indices, out=indices))
 
 
 @dataclass(frozen=True)

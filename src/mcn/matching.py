@@ -1,15 +1,13 @@
 """Maximum bipartite matching via the Hopcroft-Karp algorithm.
 
-Follows the standard phase structure (see
-https://en.wikipedia.org/wiki/Hopcroft%E2%80%93Karp_algorithm): a BFS layers
-the graph from the free left vertices, then depth-first searches augment
-along shortest vertex-disjoint paths. The DFS is iterative so long
-augmenting paths cannot hit the interpreter recursion limit.
+Each phase of one loop layers the graph by a BFS from the free left vertices
+(https://en.wikipedia.org/wiki/Hopcroft%E2%80%93Karp_algorithm), then augments
+along shortest vertex-disjoint paths by an iterative DFS, so long augmenting
+paths cannot hit the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 _INF = float("inf")
@@ -24,73 +22,49 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], num_right: int) -> tuple[list[in
     scanned in increasing index order, so ties between equal-cardinality
     matchings resolve identically on every run.
     """
-    num_left = len(adj)
-    match_l = [-1] * num_left
+    match_l = [-1] * len(adj)
     match_r = [-1] * num_right
-    dist = [0.0] * num_left
-
-    def bfs() -> float:
-        queue: deque[int] = deque()
-        for u in range(num_left):
-            if match_l[u] < 0:
-                dist[u] = 0.0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        d_free = _INF
-        while queue:
-            u = queue.popleft()
+    dist = [_INF] * len(adj)  # BFS layer of each left vertex in this phase
+    free = [u for u, row in enumerate(adj) if row]  # a vertex without edges never matches
+    while free:
+        for u in free:
+            dist[u] = 0
+        queue = free[:]  # grows while it is walked; every vertex the BFS layered
+        d_free = _INF  # length of the shortest augmenting paths
+        for u in queue:
             if dist[u] >= d_free:
                 continue
             for v in adj[u]:
                 w = match_r[v]
                 if w < 0:
-                    if d_free == _INF:
-                        d_free = dist[u] + 1.0
+                    d_free = dist[u] + 1  # the skip above keeps this the first value set
                 elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1.0
+                    dist[w] = dist[u] + 1
                     queue.append(w)
-        return d_free
-
-    def augment(root: int, d_free: float) -> bool:
-        # Explicit stack of (left vertex, next adjacency position); taken[i]
-        # is the right vertex the path leaves stack[i] through.
-        stack = [(root, 0)]
-        taken = [-1]
-        while stack:
-            u, pos = stack[-1]
-            adj_u = adj[u]
-            descended = False
-            while pos < len(adj_u):
-                v = adj_u[pos]
-                pos += 1
-                w = match_r[v]
-                if w < 0:
-                    if dist[u] + 1.0 == d_free:
-                        taken[-1] = v
-                        stack[-1] = (u, pos)
-                        for (uu, _), vv in zip(stack, taken):
-                            match_l[uu] = vv
-                            match_r[vv] = uu
-                        return True
-                elif dist[w] == dist[u] + 1.0:
-                    taken[-1] = v
-                    stack[-1] = (u, pos)
-                    stack.append((w, 0))
-                    taken.append(-1)
-                    descended = True
-                    break
-            if not descended:
-                dist[u] = _INF  # dead end for this phase
-                stack.pop()
-                taken.pop()
-        return False
-
-    while True:
-        d_free = bfs()
         if d_free == _INF:
             break
-        for u in range(num_left):
-            if match_l[u] < 0:
-                augment(u, d_free)
+        for root in free:
+            path, scans = [root], [iter(adj[root])]
+            while path:
+                u = path[-1]
+                for v in scans[-1]:
+                    w = match_r[v]
+                    if w < 0:
+                        if dist[u] + 1 == d_free:
+                            for x in reversed(path):  # x's old partner is the edge into x
+                                match_r[v] = x
+                                match_l[x], v = v, match_l[x]
+                            path = []
+                            break
+                    elif dist[w] == dist[u] + 1:
+                        path.append(w)
+                        scans.append(iter(adj[w]))
+                        break
+                else:
+                    dist[u] = _INF  # dead end for this phase
+                    path.pop()
+                    scans.pop()
+        for u in queue:
+            dist[u] = _INF
+        free = [u for u in free if match_l[u] < 0]  # a matched vertex stays matched
     return match_l, match_r

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mcn.cli import main
+from mcn.cli import ATTACK_MATCHING_BUDGET, main
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +171,41 @@ def test_attack_rejects_bad_pmax(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [([], "over the budget of 100000"), (["--trials", "0"], "--trials must be positive")],
+)
+def test_attack_refuses_oversized_grid_up_front(capsys, monkeypatch, extra, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may run past the up-front checks")
+
+    monkeypatch.setattr("mcn.cli.attack_curve", fail)
+    monkeypatch.setattr("mcn.cli.build_layer", fail)
+    code, out, err = run_cli(
+        capsys, "attack", "--r", "1", "--n", "50", "--strategy", "random",
+        "--steps", str(10**12), *extra,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_attack_budget_counts_one_trial_per_targeted_point(capsys, monkeypatch):
+    class Curve:
+        def to_csv(self, fh):
+            pass
+
+    grids = []
+    monkeypatch.setattr("mcn.cli.attack_curve", lambda g, strategy, grid, **kw: grids.append(grid) or Curve())
+    steps = str(ATTACK_MATCHING_BUDGET - 1)
+    code, _, _ = run_cli(capsys, "attack", "--r", "1", "--n", "50", "--strategy", "targeted", "--steps", steps)
+    assert code == 0 and len(grids[0]) == ATTACK_MATCHING_BUDGET
+    code, _, err = run_cli(
+        capsys, "attack", "--r", "1", "--n", "50", "--strategy", "random", "--steps", steps, "--trials", "2",
+    )
+    assert code == 2 and "use fewer --steps or --trials" in err and len(grids) == 1
 
 
 # --- sf ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from mcn import (
     theoretical_average_degree,
     theoretical_pk,
 )
-from mcn.layers import EULER_GAMMA, write_histogram_csv
+from mcn.layers import EULER_GAMMA, first_successor, write_histogram_csv
 
 import io
 
@@ -84,6 +84,28 @@ def test_out_degree_examples():
     # oracle: count of j = 1 (mod 2) with 2 < j <= 10000
     assert len(modular_successors(2, 1, 10000)) == 4999
     assert big.out_degree(2) == 4999
+
+
+def repeat_arange_fill(spec):
+    """Oracle: the layer's CSR targets from per-edge row and step arrays."""
+    r, n = spec.r, spec.n
+    labels = np.arange(r + 1, n + 1, dtype=np.int64)
+    degrees = spec.numerator // labels - (r == 0)
+    indptr = np.append(0, np.cumsum(degrees))
+    rows = np.repeat(np.arange(len(labels)), degrees)
+    steps = np.arange(indptr[-1]) - indptr[rows]  # k for the (k+1)-th successor
+    targets = first_successor(labels, r)[rows] + steps * labels[rows]
+    return indptr, targets - (r + 1)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 8])
+def test_running_sum_fill_matches_repeat_arange_fill(r):
+    for n in range(r + 2, 3001):  # includes the edgeless r = 5, n = 7
+        spec = LayerSpec(r, n)
+        g = build_layer(spec)
+        indptr, indices = repeat_arange_fill(spec)
+        assert np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices), n
+        assert g.indices.dtype == indices.dtype
 
 
 # --- chain decomposition -------------------------------------------------

@@ -37,7 +37,7 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], num_right: int) -> tuple[list[in
             for v in adj[u]:
                 w = match_r[v]
                 if w < 0:
-                    d_free = dist[u] + 1  # the skip above keeps this the first value set
+                    d_free = dist[u] + 1  # once set, every u past the skip gives the same
                 elif dist[w] == _INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
@@ -51,7 +51,7 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], num_right: int) -> tuple[list[in
                     w = match_r[v]
                     if w < 0:
                         if dist[u] + 1 == d_free:
-                            for x in reversed(path):  # x's old partner is the edge into x
+                            for x in reversed(path):  # x's old partner is how the path entered x
                                 match_r[v] = x
                                 match_l[x], v = v, match_l[x]
                             path = []

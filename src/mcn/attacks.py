@@ -17,21 +17,12 @@ from typing import IO
 import numpy as np
 
 from .control import min_drivers_matching
-from .digraph import Digraph
+from .digraph import Digraph, check_graph_size
 
 
 class AttackStrategy(str, Enum):
     RANDOM = "random"
     TARGETED = "targeted"
-
-
-def _strategy(value: AttackStrategy | str) -> AttackStrategy:
-    if isinstance(value, AttackStrategy):
-        return value
-    try:
-        return AttackStrategy(value)
-    except ValueError:
-        raise ValueError(f"unknown attack strategy {value!r}") from None
 
 
 def remove_nodes(
@@ -47,7 +38,7 @@ def remove_nodes(
     broken by ascending label (degrees in congruence layers decrease with
     the label, so ties never arise there).
     """
-    strategy = _strategy(strategy)
+    strategy = AttackStrategy(strategy)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"removal fraction must lie in [0, 1), got {p}")
     count = math.floor(p * g.num_nodes)
@@ -100,7 +91,7 @@ def attack_curve(
     seed, so the curve is bit-identical no matter how trials are scheduled.
     Targeted attacks are deterministic and run a single trial per point.
     """
-    strategy = _strategy(strategy)
+    strategy = AttackStrategy(strategy)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if strategy is AttackStrategy.TARGETED:
@@ -120,7 +111,7 @@ def attack_curve(
             survivor = remove_nodes(g, strategy, p, seed=(seed, ip, t))
             if survivor.num_nodes == 0:
                 raise ValueError(f"removal fraction {p} leaves no nodes")
-            densities.append(min_drivers_matching(survivor).n_d / survivor.num_nodes)
+            densities.append(min_drivers_matching(survivor).density)
             if survivor is g:  # nothing removed: every trial would match the same graph
                 densities *= trials
                 break
@@ -169,6 +160,7 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
     n, m = spec.n, spec.num_edges
     if m > n * (n - 1):
         raise ValueError(f"{m} edges requested but only {n * (n - 1)} are possible")
+    check_graph_size(n + m)
     alpha = 1.0 / (spec.gamma - 1.0)
     weights = [float(i) ** (-alpha) for i in range(1, n + 1)]
     total = math.fsum(weights)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 from .attacks import StaticModelSpec, attack_curve, generate_static_sf
 from .control import min_drivers_exact, min_drivers_matching
@@ -40,13 +40,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-@contextmanager
 def _output(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[Digraph, str]:
@@ -59,15 +54,14 @@ def _load_graph(args: argparse.Namespace) -> tuple[Digraph, str]:
     return g, f"mcn r={args.r} n={args.n}"
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> None:
     spec = LayerSpec(args.r, args.n)
     g = build_layer(spec)
     with _output(args.out) as fh:
         write_edge_list(g, fh, header=layer_header(spec.r, spec.n))
-    return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> None:
     spec = LayerSpec(args.r, args.n)
     hist = degree_histogram(spec)
     nodes, edges = hist.total_nodes, hist.degree_sum
@@ -80,19 +74,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             fh.write(f"# average_degree_active={edges / active!r}\n")
         fh.write(f"# average_degree_theory={theoretical_average_degree(spec)!r}\n")
         write_histogram_csv(hist, spec.r, fh)
-    return 0
 
 
-def _cmd_control(args: argparse.Namespace) -> int:
+def _cmd_control(args: argparse.Namespace) -> None:
     g, _ = _load_graph(args)
     if args.method in ("exact", "both"):
         print(min_drivers_exact(g).to_json())
     if args.method in ("matching", "both"):
         print(min_drivers_matching(g).to_json())
-    return 0
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     matchings = (args.steps + 1) * (1 if args.strategy == "targeted" else args.trials)
@@ -117,18 +109,16 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     )
     with _output(args.csv) as fh:
         curve.to_csv(fh)
-    return 0
 
 
-def _cmd_sf(args: argparse.Namespace) -> int:
+def _cmd_sf(args: argparse.Namespace) -> None:
     spec = StaticModelSpec(n=args.n, gamma=args.gamma, kbar=args.kbar, seed=args.seed)
     g = generate_static_sf(spec)
     with _output(args.out) as fh:
         write_edge_list(g, fh, header=sf_header(spec.gamma, spec.n, spec.seed))
-    return 0
 
 
-def _cmd_crt(args: argparse.Namespace) -> int:
+def _cmd_crt(args: argparse.Namespace) -> None:
     pairs = []
     for text in args.congruence:
         m = _CONGRUENCE.match(text)
@@ -142,7 +132,6 @@ def _cmd_crt(args: argparse.Namespace) -> int:
         print(solve_graphical(system).to_json())
     if args.method in ("garner", "both"):
         print(solve_garner(system).to_json())
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -218,7 +207,8 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except NonCoprimeModuliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,12 +4,28 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from contextlib import nullcontext
 from itertools import chain
 from typing import IO, Union
 
 import numpy as np
 
 _BATCH = 1 << 16  # Digraph.edges() turns this many edges into Python ints at a time
+
+# Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
+# matches 1.0M nodes and 13.0M edges at a 925 MB process peak: about 66 B per node
+# or edge, so a graph at the budget needs about 1 GB. The static-model sampler
+# needs about 110 B per node or edge (`mcn sf --n 200000 --kbar 13`: 334 MB).
+GRAPH_SIZE_BUDGET = 15 * 10**6
+
+
+def check_graph_size(size: int) -> None:
+    """Refuse, before allocating, a graph of ``size`` nodes plus edges over the budget."""
+    if size > GRAPH_SIZE_BUDGET:
+        raise ValueError(
+            f"graph of at least {size} nodes plus edges is over GRAPH_SIZE_BUDGET "
+            f"= {GRAPH_SIZE_BUDGET}; use a smaller --n"
+        )
 
 
 def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
@@ -175,18 +191,11 @@ def sf_header(gamma: float, n: int, seed: int) -> str:
 
 def write_edge_list(g: Digraph, file: FileOrPath, header: str | None = None) -> None:
     """Write the graph in the tab-separated edge-list format."""
-    if hasattr(file, "write"):
-        _write_edge_list(g, file, header)  # type: ignore[arg-type]
-    else:
-        with open(file, "w", encoding="utf-8") as fh:
-            _write_edge_list(g, fh, header)
-
-
-def _write_edge_list(g: Digraph, fh: IO[str], header: str | None) -> None:
-    if header is not None:
-        fh.write(header + "\n")
-    for i, j in g.edges():
-        fh.write(f"{i}\t{j}\n")
+    with nullcontext(file) if hasattr(file, "write") else open(file, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for i, j in g.edges():
+            fh.write(f"{i}\t{j}\n")
 
 
 def read_edge_list(file: FileOrPath) -> Digraph:
@@ -196,39 +205,35 @@ def read_edge_list(file: FileOrPath) -> Digraph:
     isolated nodes, and every edge is checked against it; errors name the
     offending line. Without a header, the node set is what the edges mention.
     """
-    if hasattr(file, "read"):
-        return _read_edge_list(file)  # type: ignore[arg-type]
-    with open(file, "r", encoding="utf-8") as fh:
-        return _read_edge_list(fh)
-
-
-def _read_edge_list(fh: IO[str]) -> Digraph:
-    header = nodes = fits = None  # a recognised header, its node range and its edge rule
-    lines = enumerate(fh, 1)
-    # the first non-blank line is the only one that can be a header
-    first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
-    if m := _MCN_HEADER.match(first[1]):
-        r, n = int(m.group(1)), int(m.group(2))
-        header, nodes = first[1], np.arange(r + 1, n + 1)
-        fits = lambda i, j: r < i < j <= n and j % i == r
-    elif m := _SF_HEADER.match(first[1]):
-        n = int(m.group(2))
-        header, nodes = first[1], np.arange(1, n + 1)
-        fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
-    sources: list[int] = []
-    targets: list[int] = []
-    for lineno, line in chain((first,), lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            a, b = line.split("\t")  # a wrong field count raises here too
-            i, j = int(a), int(b)
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
-        if fits is not None and not fits(i, j):
-            raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
-        sources.append(i)
-        targets.append(j)
-    edges = np.array((sources, targets)).T  # two flat lists convert faster than pairs
-    return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)
+    with nullcontext(file) if hasattr(file, "read") else open(file, "r", encoding="utf-8") as fh:
+        header = nodes = fits = None  # a recognised header, its node range and its edge rule
+        lines = enumerate(fh, 1)
+        # the first non-blank line is the only one that can be a header
+        first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
+        if m := _MCN_HEADER.match(first[1]):
+            r, n = int(m.group(1)), int(m.group(2))
+            check_graph_size(n - r)
+            header, nodes = first[1], np.arange(r + 1, n + 1)
+            fits = lambda i, j: r < i < j <= n and j % i == r
+        elif m := _SF_HEADER.match(first[1]):
+            n = int(m.group(2))
+            check_graph_size(n)
+            header, nodes = first[1], np.arange(1, n + 1)
+            fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
+        sources: list[int] = []
+        targets: list[int] = []
+        for lineno, line in chain((first,), lines):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                a, b = line.split("\t")  # a wrong field count raises here too
+                i, j = int(a), int(b)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
+            if fits is not None and not fits(i, j):
+                raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
+            sources.append(i)
+            targets.append(j)
+        edges = np.array((sources, targets)).T  # two flat lists convert faster than pairs
+        return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)

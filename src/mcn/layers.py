@@ -14,7 +14,7 @@ from typing import IO, Iterator, Mapping
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, check_graph_size
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -54,11 +54,14 @@ def build_layer(spec: LayerSpec) -> Digraph:
 
     Node m links to m+r, 2m+r, ... for r > 0, and to its proper multiples
     2m, 3m, ... for r = 0, all truncated at the ceiling: floor((N-r)/m)
-    successors, or floor(N/m) - 1 for r = 0. The layer has ~N ln N edges,
-    fine at desk scale. Its targets are one in-place running sum over one
+    successors, or floor(N/m) - 1 for r = 0. The layer has ~N ln N edges; a
+    layer over GRAPH_SIZE_BUDGET nodes plus edges is refused before any
+    array is allocated. Its targets are one in-place running sum over one
     edge-sized array: each row steps by its label, and a row's first slot
     jumps from the previous row's last target to the row's first successor.
     """
+    check_graph_size(spec.node_count)  # keeps the O(sqrt n) edge count below small
+    check_graph_size(spec.node_count + degree_histogram(spec).degree_sum)
     r, n = spec.r, spec.n
     labels = np.arange(r + 1, n + 1, dtype=np.int64)
     degrees = spec.numerator // labels - (r == 0)

@@ -59,7 +59,7 @@ def test_removal_fraction_validated(p):
 
 def test_unknown_strategy_rejected():
     g = build_layer(LayerSpec(1, 20))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree"):
         remove_nodes(g, "degree", 0.1)
 
 
@@ -124,6 +124,17 @@ def test_curve_determinism_and_csv():
     assert lines[2].endswith(",8,random")
 
 
+@pytest.mark.parametrize("strategy", list(AttackStrategy))
+def test_strategy_name_and_member_write_the_same_csv(strategy):
+    g = build_layer(LayerSpec(1, 60))
+    csvs = []
+    for s in (strategy.value, strategy):
+        buf = io.StringIO()
+        attack_curve(g, s, [0.0, 0.25, 0.5], trials=4, seed=2, source="mcn r=1 n=60").to_csv(buf)
+        csvs.append(buf.getvalue())
+    assert csvs[0] == csvs[1]
+
+
 def test_grid_validation():
     g = build_layer(LayerSpec(1, 30))
     with pytest.raises(ValueError):
@@ -144,6 +155,16 @@ def test_static_sf_edge_budget():
     edges = list(g.edges())
     assert len(set(edges)) == 382
     assert all(i != j for i, j in edges)
+
+
+def test_static_sf_size_budget_is_exact(monkeypatch):
+    spec = StaticModelSpec(n=100, gamma=2.5, kbar=3.82, seed=0)
+    g = generate_static_sf(spec)
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", 100 + 382)
+    assert generate_static_sf(spec) == g
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", 100 + 381)
+    with pytest.raises(ValueError, match="at least 482 nodes plus edges is over GRAPH_SIZE_BUDGET = 481"):
+        generate_static_sf(spec)
 
 
 def test_static_sf_deterministic():

@@ -1,11 +1,15 @@
 import argparse
 import json
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from mcn.cli import ATTACK_MATCHING_BUDGET, main
+from mcn.digraph import GRAPH_SIZE_BUDGET
+from mcn.layers import LayerSpec, degree_histogram
 
 
 def run_cli(capsys, *argv):
@@ -372,3 +376,50 @@ def test_memory_error_and_interrupt_print_one_line(capsys, monkeypatch, exc, cod
 
     monkeypatch.setattr("mcn.cli.degree_histogram", fail)
     assert run_cli(capsys, "stats", "--r", "1", "--n", "100") == (code, "", message)
+
+
+# --- graph size budget ---------------------------------------------------------
+
+ADDRESS_SPACE_CAP = 512 << 20  # room to import numpy; a graph over the budget needs far more
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--r", "1", "--n", str(10**15)],
+        ["control", "--r", "1", "--n", str(10**15)],
+        ["attack", "--r", "1", "--n", str(10**15), "--strategy", "targeted"],
+        ["sf", "--n", str(10**15), "--kbar", "1", "--gamma", "2.5"],
+        ["control", "--input", "{header_file}"],
+    ],
+    ids=["build", "control", "attack", "sf", "header"],
+)
+def test_oversized_graph_refused_before_allocating(tmp_path, argv):
+    # Capped, so that a graph allocated before the check fails with "out of memory"
+    # instead of filling the machine.
+    header_file = tmp_path / "huge.tsv"
+    header_file.write_text("# sf gamma=2.5 n=1000000000000000 seed=1\n1\t2\n")
+    argv = [a.format(header_file=header_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcn", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"GRAPH_SIZE_BUDGET = {GRAPH_SIZE_BUDGET}" in proc.stderr
+    assert "--n" in proc.stderr
+
+
+def test_layer_at_the_north_star_size_fits_the_budget():
+    # N = 1e6 at r = 0 and r = 1: about 14.0M nodes plus edges
+    for r in (0, 1):
+        spec = LayerSpec(r, 10**6)
+        assert spec.node_count + degree_histogram(spec).degree_sum <= GRAPH_SIZE_BUDGET

@@ -58,3 +58,64 @@ def test_cli_names_a_duplicate_edge(capsys, tmp_path):
     path.write_text("# mcn r=1 n=9\n2\t3\n2\t3\n")
     code = main(["control", "--input", str(path)])
     assert (code, capsys.readouterr().err) == (2, "error: duplicate edge 2->3\n")
+
+
+# --- the reader's error contract ---------------------------------------------
+
+READER_ERRORS = [
+    # blank and comment lines count towards the line number
+    ("# mcn r=1 n=9\n\n2\t3\n# note\n2 3\n", "line 5: malformed edge-list line: '2 3'"),
+    ("# mcn r=1 n=9\n2\t3\t4\n", "line 2: malformed edge-list line: '2\\t3\\t4'"),
+    ("# mcn r=1 n=9\n7\n", "line 2: malformed edge-list line: '7'"),
+    ("# mcn r=1 n=9\n2\tx\n", "line 2: malformed edge-list line: '2\\tx'"),
+    # the earlier line wins
+    ("# mcn r=1 n=9\n2\t4\n2\tx\n", "line 2: edge 2->4 is not an edge of '# mcn r=1 n=9'"),
+    ("# mcn r=1 n=9\n2\tx\n2\t4\n", "line 2: malformed edge-list line: '2\\tx'"),
+]
+
+
+@pytest.mark.parametrize("text,message", READER_ERRORS)
+def test_reader_error_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        read_edge_list(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", READER_ERRORS)
+def test_cli_prints_reader_errors_on_one_line(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text)
+    assert main(["control", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["# mcn r=1 n=9\n2\t3\n2\t5\n", "# sf gamma=2.5 n=5 seed=1\n1\t2\n5\t1\n", "4\t7\n4\t9\n"]
+)
+def test_crlf_lines_read_as_lf_lines(tmp_path, text):
+    crlf = text.replace("\n", "\r\n")
+    path = tmp_path / "crlf.tsv"
+    path.write_bytes(crlf.encode())
+    g = read_edge_list(io.StringIO(text))
+    assert read_edge_list(io.StringIO(crlf)) == g
+    assert read_edge_list(str(path)) == g
+
+
+@pytest.mark.parametrize("line", [f"2\t{2**63}", f"{2**63}\t3", f"2\t{2**64}", f"2\t{10**23}"])
+def test_cli_refuses_values_beyond_int64(capsys, tmp_path, line):
+    path = tmp_path / "big.tsv"
+    path.write_text(line + "\n")
+    code = main(["control", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header,nodes", [("# mcn r=3 n=40", 37), ("# sf gamma=2.5 n=40 seed=1", 40)])
+def test_header_node_count_checked_against_budget(monkeypatch, header, nodes):
+    text = f"{header}\n4\t11\n"
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", nodes)
+    assert read_edge_list(io.StringIO(text)).num_nodes == nodes
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", nodes - 1)
+    with pytest.raises(ValueError, match=f"over GRAPH_SIZE_BUDGET = {nodes - 1}; use a smaller --n"):
+        read_edge_list(io.StringIO(text))

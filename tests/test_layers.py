@@ -311,3 +311,14 @@ def test_histogram_csv_format():
     assert lines[2] == "1,4,0.5,0.5"
     assert lines[3] == "2,2,0.25,0.16666666666666666"
     assert lines[4] == "4,1,0.125,0.05"
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_build_layer_size_budget_is_exact(monkeypatch, r):
+    g = build_layer(LayerSpec(r, 40))
+    size = g.num_nodes + g.num_edges
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", size)
+    assert build_layer(LayerSpec(r, 40)) == g
+    monkeypatch.setattr("mcn.digraph.GRAPH_SIZE_BUDGET", size - 1)
+    with pytest.raises(ValueError, match=f"at least {size} nodes plus edges is over GRAPH_SIZE_BUDGET"):
+        build_layer(LayerSpec(r, 40))

@@ -109,8 +109,6 @@ def attack_curve(
         densities = []
         for t in range(trials):
             survivor = remove_nodes(g, strategy, p, seed=(seed, ip, t))
-            if survivor.num_nodes == 0:
-                raise ValueError(f"removal fraction {p} leaves no nodes")
             densities.append(min_drivers_matching(survivor).density)
             if survivor is g:  # nothing removed: every trial would match the same graph
                 densities *= trials
@@ -162,9 +160,8 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
         raise ValueError(f"{m} edges requested but only {n * (n - 1)} are possible")
     check_graph_size(n + m)
     alpha = 1.0 / (spec.gamma - 1.0)
-    weights = [float(i) ** (-alpha) for i in range(1, n + 1)]
-    total = math.fsum(weights)
-    prob = [w / total for w in weights]
+    prob = np.fromiter((float(i) ** -alpha for i in range(1, n + 1)), np.float64, n)  # libm pow, not numpy's
+    prob /= math.fsum(prob)
 
     rng = np.random.default_rng(spec.seed)
     codes = np.empty(0, dtype=np.int64)  # distinct edges s * n + t, in first-draw order

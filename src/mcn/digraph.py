@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Iterable, Mapping
 from contextlib import nullcontext
 from itertools import chain
@@ -15,7 +16,7 @@ _BATCH = 1 << 16  # Digraph.edges() turns this many edges into Python ints at a 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
 # matches 1.0M nodes and 13.0M edges at a 925 MB process peak: about 66 B per node
 # or edge, so a graph at the budget needs about 1 GB. The static-model sampler
-# needs about 110 B per node or edge (`mcn sf --n 200000 --kbar 13`: 334 MB).
+# needs about 105 B per node or edge (`mcn sf --n 200000 --kbar 13`: 321 MB).
 GRAPH_SIZE_BUDGET = 15 * 10**6
 
 
@@ -139,9 +140,9 @@ class Digraph:
 
     def edges(self):
         """Yield edges as (i, j) pairs of ints in ascending lexicographic order."""
-        sources, targets = np.repeat(self.labels, self.out_degrees), self.labels[self.indices]
-        for a in range(0, len(targets), _BATCH):
-            yield from zip(sources[a:a + _BATCH].tolist(), targets[a:a + _BATCH].tolist())
+        for a in range(0, self.num_edges, _BATCH):
+            rows = self.indptr.searchsorted(np.arange(a, min(a + _BATCH, self.num_edges)), "right") - 1
+            yield from zip(self.labels[rows].tolist(), self.labels[self.indices[a:a + _BATCH]].tolist())
 
     def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""
@@ -220,8 +221,7 @@ def read_edge_list(file: FileOrPath) -> Digraph:
             check_graph_size(n)
             header, nodes = first[1], np.arange(1, n + 1)
             fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
-        sources: list[int] = []
-        targets: list[int] = []
+        sources, targets = array("q"), array("q")
         for lineno, line in chain((first,), lines):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -229,11 +229,11 @@ def read_edge_list(file: FileOrPath) -> Digraph:
             try:
                 a, b = line.split("\t")  # a wrong field count raises here too
                 i, j = int(a), int(b)
-            except ValueError:
+                sources.append(i)  # an endpoint beyond int64 raises OverflowError here
+                targets.append(j)
+            except (ValueError, OverflowError):
                 raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
             if fits is not None and not fits(i, j):
                 raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
-            sources.append(i)
-            targets.append(j)
-        edges = np.array((sources, targets)).T  # two flat lists convert faster than pairs
+        edges = np.column_stack((sources, targets))
         return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)

@@ -145,6 +145,12 @@ def test_grid_validation():
         attack_curve(g, "random", [0.1], trials=0)
 
 
+@pytest.mark.parametrize("strategy,p", [("random", 0.0), ("random", 0.5), ("targeted", 0.5)])
+def test_curve_on_empty_graph_is_refused_by_the_matcher(strategy, p):
+    with pytest.raises(ValueError, match="^graph has no nodes$"):
+        attack_curve(Digraph({}), strategy, [p], trials=2)
+
+
 # --- static-model scale-free baseline ----------------------------------------
 
 

@@ -1,8 +1,21 @@
 import io
+import tracemalloc
+from collections import deque
 
+import numpy as np
 import pytest
 
-from mcn import Digraph, layer_header, read_edge_list, sf_header, write_edge_list
+from mcn import (
+    Digraph,
+    StaticModelSpec,
+    generate_static_sf,
+    layer_header,
+    read_edge_list,
+    remove_nodes,
+    sf_header,
+    write_edge_list,
+)
+from mcn.digraph import _BATCH
 from mcn.layers import LayerSpec, build_layer
 
 
@@ -111,3 +124,42 @@ def test_edge_list_file_paths(tmp_path):
     path = tmp_path / "layer.tsv"
     write_edge_list(g, str(path), header=layer_header(2, 12))
     assert read_edge_list(str(path)) == g
+
+
+# --- edges() in batches --------------------------------------------------------
+
+BATCHED_GRAPHS = {
+    "layer r=1 N=2e4": lambda: build_layer(LayerSpec(1, 20000)),  # 181,148 edges, 3 batches
+    "layer r=0 N=3e4": lambda: build_layer(LayerSpec(0, 30000)),  # 283,925 edges, 5 batches
+    "sf n=3e4 after 30% random removal": lambda: remove_nodes(  # labels with gaps
+        generate_static_sf(StaticModelSpec(30000, 2.5, 6, seed=1)), "random", 0.3, seed=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BATCHED_GRAPHS)
+def test_edges_across_batch_boundaries(name):
+    g = BATCHED_GRAPHS[name]()
+    assert g.num_edges > _BATCH
+    expected = zip(np.repeat(g.labels, g.out_degrees).tolist(), g.labels[g.indices].tolist())
+    assert list(g.edges()) == list(expected)
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    back = read_edge_list(io.StringIO(buf.getvalue()))
+    assert back == g.subgraph(back.labels)  # without a header, isolated nodes are not written
+    assert back.num_edges == g.num_edges
+
+
+def _edges_traced_peak(n):
+    g = build_layer(LayerSpec(1, n))
+    tracemalloc.start()
+    try:
+        deque(g.edges(), maxlen=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edges_holds_one_batch_at_a_time():
+    # 6x the nodes is about 7x the edges; edge-sized arrays would grow the peak with them
+    assert _edges_traced_peak(60000) < 2 * _edges_traced_peak(10000)

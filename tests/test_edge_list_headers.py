@@ -101,14 +101,25 @@ def test_crlf_lines_read_as_lf_lines(tmp_path, text):
     assert read_edge_list(str(path)) == g
 
 
-@pytest.mark.parametrize("line", [f"2\t{2**63}", f"{2**63}\t3", f"2\t{2**64}", f"2\t{10**23}"])
-def test_cli_refuses_values_beyond_int64(capsys, tmp_path, line):
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"2\t{2**63}",
+        f"{2**63}\t3",
+        f"2\t{2**64}",
+        f"2\t{10**23}",
+        f"2\t{-2**63 - 1}",
+        f"# sf gamma=2.5 n=5 seed=1\n2\t{2**63}",  # out of range reads as malformed, not as off the graph
+    ],
+)
+def test_cli_refuses_values_beyond_int64(capsys, tmp_path, text):
     path = tmp_path / "big.tsv"
-    path.write_text(line + "\n")
+    path.write_text(text + "\n")
     code = main(["control", "--input", str(path)])
     out, err = capsys.readouterr()
+    *head, line = text.split("\n")
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: line {len(head) + 1}: malformed edge-list line: {line!r}\n"
 
 
 @pytest.mark.parametrize("header,nodes", [("# mcn r=3 n=40", 37), ("# sf gamma=2.5 n=40 seed=1", 40)])

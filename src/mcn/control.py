@@ -13,7 +13,9 @@ Two independent routes to the same quantity:
   n - rank(lambda I - A) (Yuan et al., Nat. Commun. 4:2447, 2013).
 * structural matching: drivers are the nodes left unmatched on their
   incoming side by a maximum matching of the bipartite out/in
-  representation, so the count is max(1, n - |matching|).
+  representation, so the count is max(1, n - |matching|). The matching
+  peels degree-1 copies in numpy rounds and leaves only the remaining core
+  to Hopcroft-Karp.
 
 On congruence layers both give r drivers, the chain roots r+1..2r; the two
 implementations share no code and serve as cross-checks for each other.
@@ -148,8 +150,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     return len(pivots), dependent
 
 
-# The peel stops once a round removes fewer than 1/PEEL_STOP of the live
-# rows: a long cascade that sheds one row per round is left to elimination.
+# A peel stops once a round removes fewer than 1/PEEL_STOP of the live rows
+# (edges, for the matching): a long cascade that sheds a row or two per round
+# is left to elimination (Hopcroft-Karp).
 PEEL_STOP = 64
 
 
@@ -271,20 +274,60 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     return _report(g, rank_value, dependent, "exact_rank")
 
 
+def _pick_lone(pick: np.ndarray, side: np.ndarray, partner: np.ndarray) -> None:
+    """Lower ``pick[p]`` to the smallest edge to partner ``p`` whose ``side`` end has one live edge."""
+    degree = np.zeros(len(pick), dtype=np.int64)
+    np.add.at(degree, side, 1)  # bincount would copy an int32 side to int64
+    e = np.flatnonzero((degree == 1)[side])
+    np.minimum.at(pick, partner[e], e)
+
+
+def _max_matching(g: Digraph) -> tuple[np.ndarray, int]:
+    """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the core's edge count.
+
+    Degree-1 copies are matched in numpy rounds, as some maximum matching
+    does (Karp and Sipser, FOCS 1981). The smallest edge wins a shared
+    partner, and an edge taken at an out-copy and one taken at an in-copy
+    are equal or disjoint, so a round is one matching. Hopcroft-Karp matches
+    the core left once no copy has degree 1 or a round drops under
+    1/PEEL_STOP of the live edges.
+    """
+    n = g.num_nodes
+    rows = np.repeat(np.arange(n, dtype=np.int32), g.out_degrees)
+    cols = g.indices  # int64 and read-only; the first round's filter copies it
+    match = np.full(n, -1, dtype=np.int32)
+    used = np.zeros(n, dtype=bool)  # out-copies matched so far
+    while len(rows):
+        pick = np.full(2 * n, len(rows))  # per in-copy, then per out-copy
+        _pick_lone(pick[:n], rows, cols)
+        _pick_lone(pick[n:], cols, rows)
+        chosen = pick[pick < len(rows)]
+        match[cols[chosen]] = rows[chosen]
+        used[rows[chosen]] = True
+        keep = (match < 0)[cols] & (~used)[rows]  # edges between two unmatched copies
+        rows = rows[keep]
+        cols = cols[keep]
+        if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
+            break
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # first core edge of each core out-copy
+    bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
+    match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
+    match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]
+    return match, len(rows)
+
+
 def min_drivers_matching(g: Digraph) -> ControlReport:
     """Driver nodes by maximum matching of the bipartite out/in representation.
 
     Every directed edge i -> j becomes a bipartite edge between the
     out-copy of i and the in-copy of j; nodes whose in-copy is unmatched
     need a driving signal. Weight-free, so this is the default route for
-    arbitrary graphs such as attacked subgraphs.
+    arbitrary graphs such as attacked subgraphs. The drivers are the
+    in-copies that ``_max_matching`` leaves free.
     """
     if g.num_nodes == 0:
         raise ValueError("graph has no nodes")
-    ptr, indices = g.indptr.tolist(), g.indices.tolist()
-    adj = [indices[ptr[k]:ptr[k + 1]] for k in range(g.num_nodes)]
-    _, match_r = hopcroft_karp(adj, g.num_nodes)
-    drivers = [v for v, w in enumerate(match_r) if w < 0]
+    drivers = np.flatnonzero(_max_matching(g)[0] < 0).tolist()
     return _report(g, g.num_nodes - len(drivers), drivers, "matching")
 
 

@@ -48,7 +48,7 @@ GOLDEN = {
     "stats_r0": "23cb6ee00ec80566c795ea043bd18b64c1484bead41e05587f231e2869d145fe",
     "stats_r2": "bbd079e42d238c075359873bbf0b17f4da6467d3f0641718b8f15edf696940f3",
     "control_layer": "2d47b400a761cf8c319bb3e99d78283f5fe7e9e2205edc3aee0908699f69aea2",
-    "control_sf": "d2280b9d4d4bb21f732ffaac2850d15950f2b7a8be0062bb8d0aae797e11879b",
+    "control_sf": "cd629a33a19ffe2ca33ddf11dc5b55a3049df70abfcad13ffa3c2a85fc005b75",
     "attack_layer_random": "e9ce49db24b664c4034b26163e6d941ecf74354e3c25db2a9e9f02c765950389",
     "attack_layer_targeted": "4d8257da61aa54274d835a6975b518d4d1902f4984d409641fbc748f30afb2d1",
     "attack_sf_random": "a66f1ce02414b4fc21d8120435cf9b511e1d7c949c90ae3f30b880d452db6967",

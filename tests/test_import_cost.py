@@ -24,3 +24,25 @@ def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # kbar=8 leaves a core after the degree-1 peel, so Hopcroft-Karp runs on it
+    # in `control` and at the attack's p = 0 point.
+    code = (
+        "import sys\n"
+        "from mcn.cli import main\n"
+        "from mcn.control import _max_matching\n"
+        "from mcn.digraph import read_edge_list\n"
+        "main(['sf', '--n', '200', '--gamma', '2.5', '--kbar', '8', '--seed', '0', '--out', 'g.tsv'])\n"
+        "main(['control', '--input', 'g.tsv', '--method', 'matching'])\n"
+        "main(['attack', '--input', 'g.tsv', '--strategy', 'random', '--steps', '2', '--trials', '2'])\n"
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+        "print(_max_matching(read_edge_list('g.tsv'))[1] > 0)\n"
+    )
+    src = str(Path(mcn.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert out.splitlines()[-2:] == ["[]", "True"]

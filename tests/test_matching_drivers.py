@@ -4,6 +4,8 @@ Maximum matchings are not unique, so the driver set is checked for what any
 valid one must satisfy: ``n_d`` is ``n`` minus the size Hopcroft-Karp finds on
 the whole graph, and the drivers are exactly the in-copies left free by some
 maximum matching, which holds iff every other in-copy can be matched at once.
+The matching ``_max_matching`` returns is checked itself: every pair is an
+edge, no copy is used twice, and its free in-copies are the printed drivers.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 
 from mcn import Digraph, LayerSpec, StaticModelSpec, build_layer, generate_static_sf, min_drivers_matching
 from mcn.attacks import remove_nodes
+from mcn.control import _max_matching
 from mcn.matching import hopcroft_karp
-from test_peeling import digraphs
+from test_peeling import cascade, digraphs
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -27,6 +30,22 @@ def adjacency(g, drop=()):
 
 def matching_size(adj, num_right):
     return sum(v >= 0 for v in hopcroft_karp(adj, num_right)[0])
+
+
+def assert_valid_matching(g, size):
+    """Check ``_max_matching(g)`` against the graph and the maximum ``size``; return its core edge count."""
+    match, core = _max_matching(g)
+    assert match.shape == (g.num_nodes,)
+    v = np.flatnonzero(match >= 0)
+    u = match[v].astype(np.int64)
+    assert len(v) == size
+    assert len(set(u.tolist())) == len(u)  # no out-copy matched twice
+    edges = set((g.indices + g.num_nodes * np.repeat(np.arange(g.num_nodes), g.out_degrees)).tolist())
+    assert set((u * g.num_nodes + v).tolist()) <= edges  # every pair is an edge
+    assert 0 <= core <= g.num_edges
+    free = np.flatnonzero(match < 0)
+    assert min_drivers_matching(g).drivers == tuple(g.labels[free.tolist() or [0]].tolist())
+    return core
 
 
 def assert_maximum_matching_drivers(g):
@@ -47,7 +66,7 @@ def assert_maximum_matching_drivers(g):
         assert matching_size(adjacency(g, drop=drivers), n) == size
     assert min_drivers_matching(g) == report
     assert min_drivers_matching(Digraph.from_edges(g.labels, list(g.edges()))) == report
-    return report
+    return report, assert_valid_matching(g, size)
 
 
 @SETTINGS
@@ -94,6 +113,7 @@ def bipartite_blocks(*shapes):
 
 
 CORE_GRAPHS = {
+    "cascade n=3000": lambda: cascade(3000),  # one edge pair per round: the peel stops at once
     "bidirected cycle n=9": lambda: bidirected_cycle(9),
     "bidirected cycle n=40": lambda: bidirected_cycle(40),
     "blocks 2x3 3x3 4x2": lambda: bipartite_blocks((2, 3), (3, 3), (4, 2)),
@@ -106,7 +126,8 @@ CORE_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(CORE_GRAPHS))
 def test_graphs_with_a_core(name):
-    assert_maximum_matching_drivers(CORE_GRAPHS[name]())
+    _, core = assert_maximum_matching_drivers(CORE_GRAPHS[name]())
+    assert core > 0
 
 
 def test_bidirected_cycle_and_blocks_match_perfectly_or_by_the_smaller_side():
@@ -119,5 +140,6 @@ def test_bidirected_cycle_and_blocks_match_perfectly_or_by_the_smaller_side():
 @pytest.mark.parametrize("n", [2000, 20000])
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
 def test_layers_drive_from_their_roots(r, n):
-    report = assert_maximum_matching_drivers(build_layer(LayerSpec(r, n)))
+    report, core = assert_maximum_matching_drivers(build_layer(LayerSpec(r, n)))
+    assert core == 0
     assert report.drivers == tuple(range(r + 1, 2 * r + 1))

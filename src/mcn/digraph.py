@@ -14,9 +14,10 @@ import numpy as np
 _BATCH = 1 << 16  # Digraph.edges() turns this many edges into Python ints at a time
 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
-# matches 1.0M nodes and 13.0M edges at a 925 MB process peak: about 66 B per node
-# or edge, so a graph at the budget needs about 1 GB. The static-model sampler
-# needs about 105 B per node or edge (`mcn sf --n 200000 --kbar 13`: 321 MB).
+# matches 1.0M nodes and 13.0M edges at a 271 MB process peak, about 20 B per node
+# or edge (335 MB at r=0). Reading that layer's edge list peaks at 982 MB, about
+# 70 B per node or edge, and the static-model sampler needs about 105 B (`mcn sf
+# --n 200000 --kbar 13`: 321 MB), so a graph at the budget needs at most 1.5 GB.
 GRAPH_SIZE_BUDGET = 15 * 10**6
 
 
@@ -99,7 +100,10 @@ class Digraph:
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
         """Graph on ``nodes`` with the (i, j) ``edges``, given in any order."""
         pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
-        return cls._from_csr(*_csr(nodes, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]))
+        i, j = pairs[:-1].T, pairs[1:].T
+        if not np.all((j[0] > i[0]) | (j[0] == i[0]) & (j[1] >= i[1])):  # files from write_edge_list are in order
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        return cls._from_csr(*_csr(nodes, pairs))
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -141,8 +145,10 @@ class Digraph:
     def edges(self):
         """Yield edges as (i, j) pairs of ints in ascending lexicographic order."""
         for a in range(0, self.num_edges, _BATCH):
-            rows = self.indptr.searchsorted(np.arange(a, min(a + _BATCH, self.num_edges)), "right") - 1
-            yield from zip(self.labels[rows].tolist(), self.labels[self.indices[a:a + _BATCH]].tolist())
+            b = min(a + _BATCH, self.num_edges)
+            k0, k1 = self.indptr.searchsorted((a, b - 1), "right") - 1  # rows of the batch's first and last edge
+            sources = np.repeat(self.labels[k0:k1 + 1], np.diff(np.clip(self.indptr[k0:k1 + 2], a, b)))
+            yield from zip(sources.tolist(), self.labels[self.indices[a:b]].tolist())
 
     def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""

@@ -139,3 +139,20 @@ def test_from_edges_rejects_duplicate_edges(succ, data):
     dup = data.draw(st.sampled_from(edges))
     with pytest.raises(ValueError):
         Digraph.from_edges(list(succ), edges + [dup])
+
+
+@SETTINGS
+@given(successor_dicts(), st.data())
+def test_from_edges_in_any_order_gives_the_sorted_graph(succ, data):
+    edges = RefDigraph(succ).edges()
+    shuffled = data.draw(st.permutations(edges))
+    assert Digraph.from_edges(list(succ), shuffled) == Digraph.from_edges(list(succ), edges) == Digraph(succ)
+    # a planted duplicate (a self-loop when there are no edges) is named alike from either order
+    bad = edges + [data.draw(st.sampled_from(edges)) if edges else (1, 1)]
+
+    def message(pairs):
+        with pytest.raises(ValueError) as exc:
+            Digraph.from_edges(list(succ), pairs)
+        return str(exc.value)
+
+    assert message(sorted(bad)) == message(data.draw(st.permutations(bad)))

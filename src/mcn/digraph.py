@@ -100,8 +100,8 @@ class Digraph:
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
         """Graph on ``nodes`` with the (i, j) ``edges``, given in any order."""
         pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
-        i, j = pairs[:-1].T, pairs[1:].T
-        if not np.all((j[0] > i[0]) | (j[0] == i[0]) & (j[1] >= i[1])):  # files from write_edge_list are in order
+        prev, nxt = pairs[:-1].T, pairs[1:].T
+        if not np.all((nxt[0] > prev[0]) | (nxt[0] == prev[0]) & (nxt[1] >= prev[1])):  # as write_edge_list writes
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         return cls._from_csr(*_csr(nodes, pairs))
 

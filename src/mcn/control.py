@@ -90,15 +90,18 @@ def coupling_matrix(g: Digraph, weighting: str = "unit", seed: int | tuple[int, 
     places independent uniform nonzero field elements drawn from ``seed``,
     one per edge in ascending (source, target) order.
     """
-    rows = g.indices
-    cols = np.repeat(np.arange(g.num_nodes), g.out_degrees)
+    # filled column by column in transposed order: a stable sort by target keeps
+    # each target's sources ascending, and no stacked copy is made to permute
+    order = np.argsort(g.indices, kind="stable")
+    entries = np.empty((len(order), 3), dtype=np.int64)
+    entries[:, 0] = g.indices[order]
+    entries[:, 1] = np.repeat(np.arange(g.num_nodes), g.out_degrees)[order]
     if weighting == "unit":
-        weights = np.ones_like(rows)
+        entries[:, 2] = 1
     elif weighting == "random":
-        weights = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=len(rows))
+        entries[:, 2] = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=len(order))[order]
     else:
         raise ValueError(f"unknown weighting {weighting!r}")
-    entries = np.column_stack((rows, cols, weights))[np.lexsort((cols, rows))]
     return CouplingMatrix(labels=g.labels, entries=entries)
 
 

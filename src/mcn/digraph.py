@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import re
 from array import array
 from collections.abc import Iterable, Mapping
@@ -11,12 +12,12 @@ from typing import IO, Union
 
 import numpy as np
 
-_BATCH = 1 << 16  # Digraph.edges() turns this many edges into Python ints at a time
+_BATCH = 1 << 16  # edges that Digraph.edges() and write_edge_list handle at a time
 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
 # matches 1.0M nodes and 13.0M edges at a 271 MB process peak, about 20 B per node
-# or edge (335 MB at r=0). Reading that layer's edge list peaks at 982 MB, about
-# 70 B per node or edge, and the static-model sampler needs about 105 B (`mcn sf
+# or edge (335 MB at r=0). Reading that layer's edge list peaks at 562 MB, about
+# 40 B per node or edge, and the static-model sampler needs about 105 B (`mcn sf
 # --n 200000 --kbar 13`: 321 MB), so a graph at the budget needs at most 1.5 GB.
 GRAPH_SIZE_BUDGET = 15 * 10**6
 
@@ -57,8 +58,12 @@ def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
             i, j = edges[int(np.argmax(bad))].tolist()
             raise ValueError(message.format(i=i, j=j))
 
-    reject(~np.isin(edges[:, 0], labels), "edge {i}->{j} starts outside the node set")
-    reject(~np.isin(edges[:, 1], labels), "edge {i}->{j} points outside the node set")
+    def outside(pos: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        # an endpoint is a node iff the label at its searchsorted position is it; no isin copies
+        return labels.take(pos, mode="clip") != ends if labels.size else np.ones(len(ends), dtype=bool)
+
+    reject(outside(src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
+    reject(outside(dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
     reject(src == dst, "self-loop on node {i}")
     same_row = src[1:] == src[:-1]
     reject(np.append(False, same_row & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
@@ -142,13 +147,17 @@ class Digraph:
     def out_degree(self, m: int) -> int:
         return len(self._row(m))
 
-    def edges(self):
-        """Yield edges as (i, j) pairs of ints in ascending lexicographic order."""
+    def _batches(self):
+        """Yield the source and target positions of the edges, ``_BATCH`` edges at a time."""
         for a in range(0, self.num_edges, _BATCH):
             b = min(a + _BATCH, self.num_edges)
             k0, k1 = self.indptr.searchsorted((a, b - 1), "right") - 1  # rows of the batch's first and last edge
-            sources = np.repeat(self.labels[k0:k1 + 1], np.diff(np.clip(self.indptr[k0:k1 + 2], a, b)))
-            yield from zip(sources.tolist(), self.labels[self.indices[a:b]].tolist())
+            yield np.repeat(np.arange(k0, k1 + 1), np.diff(np.clip(self.indptr[k0:k1 + 2], a, b))), self.indices[a:b]
+
+    def edges(self):
+        """Yield edges as (i, j) pairs of ints in ascending lexicographic order."""
+        for sources, targets in self._batches():
+            yield from zip(self.labels[sources].tolist(), self.labels[targets].tolist())
 
     def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""
@@ -184,6 +193,14 @@ class Digraph:
 
 _MCN_HEADER = re.compile(r"^# mcn r=(\d+) n=(\d+)\s*$")
 _SF_HEADER = re.compile(r"^# sf gamma=(\S+) n=(\d+) seed=(\d+)\s*$")
+_NON_BLANK = re.compile(rb"[^ \t\n\r\v\f]")  # a byte bytes.strip() keeps
+
+# Bytes of the body read_edge_list parses at a time, extended to the next line
+# end. A block's temporaries come to a few times its size; 2^18-byte blocks left
+# the heap fragmented enough to lift the layers benchmark's process peak 2-4 MB.
+_BLOCK = 1 << 16
+_SEPARATOR = np.bincount((9, 10, 13), minlength=256).astype(bool)  # TAB, LF and CR, the bytes below "0" a plain line holds
+_INT64_MAX = np.iinfo(np.int64).max
 
 FileOrPath = Union[str, "IO[str]"]
 
@@ -201,8 +218,106 @@ def write_edge_list(g: Digraph, file: FileOrPath, header: str | None = None) -> 
     with nullcontext(file) if hasattr(file, "write") else open(file, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for i, j in g.edges():
-            fh.write(f"{i}\t{j}\n")
+        if not g.num_edges:
+            return
+        w = len(str(int(g.labels[-1])))
+        digits = g.labels.astype(f"S{w}").view(np.uint8).reshape(-1, w)  # each label's digits, NUL-padded
+        for sources, targets in g._batches():
+            lines = np.empty((len(sources), 2 * w + 2), np.uint8)
+            lines[:, :w], lines[:, w], lines[:, w + 1:-1], lines[:, -1] = digits[sources], 9, digits[targets], 10
+            fh.write(lines[lines != 0].tobytes().decode("ascii"))
+
+
+def _header(first: str):
+    """Header, node range and edge rule that a first non-blank line declares; Nones if none.
+
+    The rule takes (i, j) as ints or as int64 arrays and is true where (i, j)
+    may be an edge under the header.
+    """
+    if m := _MCN_HEADER.match(first):
+        r, n = int(m.group(1)), int(m.group(2))
+        check_graph_size(n - r)
+        return first, np.arange(r + 1, n + 1), lambda i, j: (r < i) & (i < j) & (j <= n) & (j % np.maximum(i, 1) == r)
+    if m := _SF_HEADER.match(first):
+        n = int(m.group(2))
+        check_graph_size(n)
+        return first, np.arange(1, n + 1), lambda i, j: (1 <= i) & (i <= n) & (1 <= j) & (j <= n)
+    return None, None, None
+
+
+def _block_values(block: bytes) -> np.ndarray | None:
+    """The integers of ``block``, LF-ended lines that are each blank or "i<TAB>j".
+
+    Returns None if any line may be anything else: a comment, a stray byte,
+    a wrong field count, a CR not before LF, or a field of more than 19
+    digits or at 2^63-1, where ``np.fromstring`` saturates.
+    """
+    b = np.frombuffer(block, np.uint8)
+    if b.max() > ord("9"):
+        return None
+    seps = np.flatnonzero(b < ord("0"))
+    kind = b[seps]
+    if not _SEPARATOR[kind].all():
+        return None
+    digits = np.diff(seps, prepend=-1) - 1  # digits just before each separator
+    tab, cr = np.flatnonzero(kind == 9), np.flatnonzero(kind == 13)  # the last separator is an LF
+    if (digits.max() > 19 or (digits[tab] == 0).any() or (digits[tab + 1] == 0).any()
+            or (kind[tab + 1] == 9).any() or (kind[cr + 1] != 10).any() or (digits[cr + 1] != 0).any()):
+        return None
+    values = np.fromstring(block, dtype=np.int64, sep=" ")
+    if len(values) != 2 * len(tab) or (values == _INT64_MAX).any():  # a line without a TAB, or saturation
+        return None
+    return values
+
+
+def _read_blocks(data: bytes):
+    """Node range (None without a header) and (E, 2) edges of ``data``, parsed
+    ``_BLOCK`` bytes at a time; None if any line is not plain, for the line loop."""
+    m = _NON_BLANK.search(data)
+    begin = data.rfind(b"\n", 0, m.start()) + 1 if m else len(data)  # the first non-blank line
+    end = data.find(b"\n", begin) + 1 or len(data)
+    first = data[begin:end].rstrip(b"\r\n")
+    if not first.isascii() or b"\r" in first:
+        return None  # a lone CR splits the line in the line loop
+    first = first.decode("ascii").strip()
+    if m and not first:
+        return None  # whitespace that str.strip sees and bytes.strip does not
+    header, nodes, fits = _header(first)
+    body = end if first.startswith("#") else begin
+    edges = np.empty((data.count(b"\t", body), 2), np.int64)
+    flat, filled = edges.reshape(-1), 0
+    while body < len(data):
+        end = data.find(b"\n", body + _BLOCK - 1) + 1 or len(data)
+        values = _block_values(data[body:end] if data[end - 1] == 10 else data[body:] + b"\n")
+        if values is None or fits is not None and not fits(values[0::2], values[1::2]).all():
+            return None
+        flat[filled:filled + len(values)] = values
+        filled, body = filled + len(values), end
+    return nodes, edges
+
+
+def _read_lines(fh: Iterable[str]):
+    """Node range (None without a header) and (E, 2) edges of the lines of ``fh``,
+    one line at a time; the first bad line raises a ValueError naming it."""
+    lines = enumerate(fh, 1)
+    # the first non-blank line is the only one that can be a header
+    first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
+    header, nodes, fits = _header(first[1])
+    sources, targets = array("q"), array("q")
+    for lineno, line in chain((first,), lines):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            a, b = line.split("\t")  # a wrong field count raises here too
+            i, j = int(a), int(b)
+            sources.append(i)  # an endpoint beyond int64 raises OverflowError here
+            targets.append(j)
+        except (ValueError, OverflowError):
+            raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
+        if fits is not None and not fits(i, j):
+            raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
+    return nodes, np.column_stack((sources, targets))
 
 
 def read_edge_list(file: FileOrPath) -> Digraph:
@@ -211,35 +326,23 @@ def read_edge_list(file: FileOrPath) -> Digraph:
     A recognised header line reconstructs the full node universe, including
     isolated nodes, and every edge is checked against it; errors name the
     offending line. Without a header, the node set is what the edges mention.
+    A lone CR ends a line, read from a path or from a handle.
+
+    The body is parsed in numpy blocks. If any block holds a line other than
+    a blank one or "i<TAB>j", the whole text goes through the line loop,
+    which alone words the errors.
     """
-    with nullcontext(file) if hasattr(file, "read") else open(file, "r", encoding="utf-8") as fh:
-        header = nodes = fits = None  # a recognised header, its node range and its edge rule
-        lines = enumerate(fh, 1)
-        # the first non-blank line is the only one that can be a header
-        first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
-        if m := _MCN_HEADER.match(first[1]):
-            r, n = int(m.group(1)), int(m.group(2))
-            check_graph_size(n - r)
-            header, nodes = first[1], np.arange(r + 1, n + 1)
-            fits = lambda i, j: r < i < j <= n and j % i == r
-        elif m := _SF_HEADER.match(first[1]):
-            n = int(m.group(2))
-            check_graph_size(n)
-            header, nodes = first[1], np.arange(1, n + 1)
-            fits = lambda i, j: 1 <= i <= n and 1 <= j <= n
-        sources, targets = array("q"), array("q")
-        for lineno, line in chain((first,), lines):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                a, b = line.split("\t")  # a wrong field count raises here too
-                i, j = int(a), int(b)
-                sources.append(i)  # an endpoint beyond int64 raises OverflowError here
-                targets.append(j)
-            except (ValueError, OverflowError):
-                raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
-            if fits is not None and not fits(i, j):
-                raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
-        edges = np.column_stack((sources, targets))
-        return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)
+    if hasattr(file, "read"):
+        text = file.read()
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        with open(file, "rb") as fh:
+            data = fh.read()
+        text = None
+    parsed = _read_blocks(data)
+    if parsed is None:  # a path's bytes are decoded as open(file, encoding="utf-8") would, errors included
+        parsed = _read_lines(io.StringIO(text, newline=None) if text is not None
+                             else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    del data, text  # before the graph's arrays are built
+    nodes, edges = parsed
+    return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)

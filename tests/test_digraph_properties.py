@@ -130,6 +130,20 @@ def test_rejects_what_the_reference_rejects(succ, defect, data):
         Digraph(succ)
 
 
+
+@SETTINGS
+@given(st.sets(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), min_size=1, max_size=20),
+       st.sets(st.integers(1, 10), max_size=8))
+def test_from_edges_names_the_first_endpoint_outside_the_nodes(pairs, nodes):
+    pairs = sorted(pairs)
+    expected = next((f"edge {i}->{j} starts outside the node set" for i, j in pairs if i not in nodes),
+                    next((f"edge {i}->{j} points outside the node set" for i, j in pairs if j not in nodes), None))
+    if expected is None:
+        return
+    with pytest.raises(ValueError) as exc:
+        Digraph.from_edges(sorted(nodes), pairs)
+    assert str(exc.value) == expected
+
 @SETTINGS
 @given(successor_dicts(), st.data())
 def test_from_edges_rejects_duplicate_edges(succ, data):

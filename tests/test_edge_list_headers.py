@@ -102,6 +102,28 @@ def test_crlf_lines_read_as_lf_lines(tmp_path, text):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# mcn r=1 n=9\r2\t3\r2\t5\r", None),
+        ("# mcn r=1 n=9\r2\t3\r\n\r2\t5\r\n", None),
+        ("# mcn r=1 n=9\r2\t3\r2\t4\r", "line 3: edge 2->4 is not an edge of '# mcn r=1 n=9'"),
+    ],
+)
+def test_lone_cr_ends_a_line_by_handle_and_by_path(tmp_path, text, message):
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(text.encode())
+    if message is None:
+        g = read_edge_list(io.StringIO(text))
+        assert read_edge_list(str(path)) == g
+        assert (g.num_nodes, list(g.edges())) == (8, [(2, 3), (2, 5)])
+        return
+    for source in (io.StringIO(text), str(path)):
+        with pytest.raises(ValueError) as exc:
+            read_edge_list(source)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "text",
     [
         f"2\t{2**63}",

@@ -7,6 +7,7 @@ from itertools import chain
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,25 +96,25 @@ def mutate(lines, kind, draw):
         return
     p = min(p, len(lines) - 1)
     i, _, j = lines[p].partition("\t")
-    zeros = "0" * draw(st.sampled_from([1, 3, 18, 25, 4300]))
+    zeros = lambda: "0" * draw(st.sampled_from([1, 3, 18, 25, 4300]))  # 4301 digits are past int()'s limit
     lines[p] = {
-        "space": f"{i} {j}",
-        "one-field": i,
-        "three-field": f"{i}\t{j}\t{j}",
-        "lead-tab": f"\t{i}\t{j}",
-        "trail-tab": f"{i}\t{j}\t",
-        "padding": f" {i}\t{j} ",
-        "zeros": f"{zeros}{i}\t{zeros}{j}",
-        "big": f"{i}\t{draw(st.sampled_from(BIG))}",
-        "big-source": f"{draw(st.sampled_from(BIG))}\t{j}",
-        "non-ascii": f"{i}\t{j[:-1]}{draw(st.sampled_from(NON_ASCII_DIGITS))}",
-        "sign": f"+{i}\t-{j}",
-        "underscore": f"{i}\t{j[:1]}_{j[1:]}" if len(j) > 1 else f"{i}\t{j}_",
-        "zero": f"0\t{j}",
-        "off-rule": f"{i}\t{int(j) + 1}" if j.isdigit() else lines[p],
-        "duplicate": f"{i}\t{j}\n{i}\t{j}",
-        "reversed": f"{j}\t{i}",
-    }[kind]
+        "space": lambda: f"{i} {j}",
+        "one-field": lambda: i,
+        "three-field": lambda: f"{i}\t{j}\t{j}",
+        "lead-tab": lambda: f"\t{i}\t{j}",
+        "trail-tab": lambda: f"{i}\t{j}\t",
+        "padding": lambda: f" {i}\t{j} ",
+        "zeros": lambda: f"{zeros()}{i}\t{zeros()}{j}",
+        "big": lambda: f"{i}\t{draw(st.sampled_from(BIG))}",
+        "big-source": lambda: f"{draw(st.sampled_from(BIG))}\t{j}",
+        "non-ascii": lambda: f"{i}\t{j[:-1]}{draw(st.sampled_from(NON_ASCII_DIGITS))}",
+        "sign": lambda: f"+{i}\t-{j}",
+        "underscore": lambda: f"{i}\t{j[:1]}_{j[1:]}" if len(j) > 1 else f"{i}\t{j}_",
+        "zero": lambda: f"0\t{j}",
+        "off-rule": lambda: f"{i}\t{j[:-1]}{(int(j[-1]) + 1) % 10}" if j[-1:].isdecimal() else lines[p],
+        "duplicate": lambda: f"{i}\t{j}\n{i}\t{j}",
+        "reversed": lambda: f"{j}\t{i}",
+    }[kind]()
 
 
 MUTATIONS = ["blank", "comment", "space", "one-field", "three-field", "lead-tab", "trail-tab",
@@ -142,9 +143,32 @@ def test_reader_agrees_with_reference(tmp_path_factory, text, block):
     path = tmp_path_factory.getbasetemp() / "edges.tsv"
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(reference_read, io.StringIO(text))
-    with mock.patch.object(digraph, "_BLOCK", block, create=True):
+    with mock.patch.object(digraph, "_BLOCK", block):
         assert outcome(read_edge_list, io.StringIO(text)) == expected
         assert outcome(read_edge_list, str(path)) == expected
+
+
+
+@pytest.mark.parametrize("lines", [1, 3000])
+def test_undecodable_file_fails_as_a_text_mode_read(tmp_path, lines):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"".join(b"%d\t%d\n" % (i, i + 1) for i in range(1, lines + 1)) + b"# \xff\n")
+    with open(path, encoding="utf-8") as fh:
+        expected = outcome(reference_read, fh)
+    assert expected.startswith("UnicodeDecodeError")
+    assert outcome(read_edge_list, str(path)) == expected
+
+@SETTINGS
+@given(st.one_of(layer_bodies(), sf_bodies()), st.booleans(), st.sampled_from(["\n", "\r\n"]),
+       st.sampled_from([1, 5, 64, 4096]))
+def test_plain_bodies_skip_the_line_loop(body, with_header, end, block):
+    header, edges = body
+    lines = ([header] if with_header else []) + [f"{i}\t{j}" for i, j in edges]
+    text = "".join(line + end for line in lines)
+    expected = reference_read(io.StringIO(text))
+    with mock.patch.object(digraph, "_BLOCK", block), \
+            mock.patch.object(digraph, "_read_lines", side_effect=AssertionError("line loop")):
+        assert read_edge_list(io.StringIO(text)) == expected
 
 
 # --- the writer ------------------------------------------------------------------

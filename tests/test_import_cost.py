@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mcn
 
 
@@ -46,3 +48,28 @@ def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, check=True,
     ).stdout
     assert out.splitlines()[-2:] == ["[]", "True"]
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        # a layer file under its "# mcn" header, written and read back
+        "main(['build', '--r', '1', '--n', '300', '--out', 'g.tsv'])\n"
+        "main(['control', '--input', 'g.tsv', '--method', 'both'])\n",
+        # CRLF files, plain and with a comment line that only the line loop reads
+        "from mcn.digraph import read_edge_list\n"
+        "for body in (b'1\\t2\\r\\n', b'\\r\\n# c\\r\\n1\\t2\\r\\n'):\n"
+        "    open('g.tsv', 'wb').write(b'# sf gamma=2.5 n=9 seed=1\\r\\n' + body)\n"
+        "    assert read_edge_list('g.tsv').num_edges == 1\n",
+    ],
+)
+def test_edge_list_io_loads_neither_scipy_nor_numpy_ma(tmp_path, steps):
+    code = "import sys\nfrom mcn.cli import main\n" + steps + (
+        "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
+    )
+    src = str(Path(mcn.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -158,17 +158,68 @@ def test_undecodable_file_fails_as_a_text_mode_read(tmp_path, lines):
     assert expected.startswith("UnicodeDecodeError")
     assert outcome(read_edge_list, str(path)) == expected
 
+# Layouts other than the writer's: each is read as a text-mode open() splits it,
+# a lone CR ending a line, whether it comes as a path or as a handle.
+ODD_LAYOUTS = [
+    "# mcn r=1 n=9\r",  # a lone CR ends the header line
+    "# mcn r=1 n=9\r2\t3\n",
+    "# sf gamma=2.5 n=9 seed=1\r2\t3",
+    "# sf gamma=2.5 n=9 seed=1\r",
+    "# mcn r=1 n=9 \r \n2\t5\n",
+    "# note\n# mcn r=1 n=9\n2\t3\n",  # a comment before the header
+    "#\n# sf gamma=2.5 n=9 seed=1\n3\t2\n",
+    "# note\r\n# mcn r=1 n=9\r\n2\t3\r\n",
+    "\x1c# mcn r=1 n=9\n2\t3\n",  # whitespace str.strip sees and bytes.strip does not
+    "# mcn r=1 n=9\x1c\n2\t3\n",
+    "\x1c\n# mcn r=1 n=9\n2\t3\n",
+    "\x1c2\t3\n4\t7\n",
+    "2\t3\x1c\n4\t7\n",
+    "\u00a0# sf gamma=2.5 n=9 seed=1\n2\t3\n",
+    "# sf gamma=2.5 n=9 seed=1\u00a0\n2\t3\n",
+    "\u00a0\n# mcn r=1 n=9\n2\t3\n",
+    "\u00a02\t3\n",
+    "2\t3\u00a0\n",
+    "# mcn r=1 n=9\u00a0\n2\t4\n",  # an off-rule edge under a recognised header
+]
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+@pytest.mark.parametrize("text", ODD_LAYOUTS)
+def test_odd_layouts_read_as_a_text_mode_open(tmp_path, text, block):
+    path = tmp_path / "odd.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(reference_read, io.StringIO(text, newline=None))
+    with open(path, encoding="utf-8") as fh:
+        assert outcome(reference_read, fh) == expected
+    with mock.patch.object(digraph, "_BLOCK", block):
+        assert outcome(read_edge_list, io.StringIO(text)) == expected
+        assert outcome(read_edge_list, str(path)) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "# mcn r=1 n=9\n2\t3\n# \ud800\n",
+    "\ud800\n2\t3\n",
+    "# sf gamma=2.5 n=9 seed=1 \udfff\n2\t3\n",
+    "2\t3\udc80\n",
+])
+def test_lone_surrogate_in_a_handle_reads_as_its_text(text):
+    assert outcome(read_edge_list, io.StringIO(text)) == outcome(reference_read, io.StringIO(text))
+
+
 @SETTINGS
 @given(st.one_of(layer_bodies(), sf_bodies()), st.booleans(), st.sampled_from(["\n", "\r\n"]),
        st.sampled_from([1, 5, 64, 4096]))
-def test_plain_bodies_skip_the_line_loop(body, with_header, end, block):
+def test_plain_bodies_skip_the_line_loop(tmp_path_factory, body, with_header, end, block):
     header, edges = body
     lines = ([header] if with_header else []) + [f"{i}\t{j}" for i, j in edges]
     text = "".join(line + end for line in lines)
+    path = tmp_path_factory.getbasetemp() / "plain.tsv"
+    path.write_bytes(text.encode("ascii"))
     expected = reference_read(io.StringIO(text))
     with mock.patch.object(digraph, "_BLOCK", block), \
             mock.patch.object(digraph, "_read_lines", side_effect=AssertionError("line loop")):
         assert read_edge_list(io.StringIO(text)) == expected
+        assert read_edge_list(str(path)) == expected
 
 
 # --- the writer ------------------------------------------------------------------

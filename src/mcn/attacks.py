@@ -45,10 +45,10 @@ def remove_nodes(
     if count == 0:
         return g
     if strategy is AttackStrategy.TARGETED:
-        removed = g.labels[np.lexsort((g.labels, -g.out_degrees))[:count]]
+        positions = np.lexsort((g.labels, -g.out_degrees))[:count]
     else:
-        removed = np.random.default_rng(seed).choice(g.labels, size=count, replace=False)
-    return g.subgraph(np.setdiff1d(g.labels, removed, assume_unique=True))
+        positions = np.random.default_rng(seed).choice(g.num_nodes, size=count, replace=False)
+    return g.subgraph(np.delete(g.labels, positions))
 
 
 @dataclass(frozen=True)

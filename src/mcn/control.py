@@ -24,7 +24,7 @@ implementations share no code and serve as cross-checks for each other.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,7 +236,7 @@ class ControlReport:
     method: str
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 def _report(g: Digraph, rank_value: int, drivers: list[int], method: str) -> ControlReport:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 from .layers import first_successor
@@ -93,7 +93,7 @@ class CrtSolution:
     method: str
 
     def to_json(self) -> str:
-        payload = {k: v for k, v in asdict(self).items() if v is not None}
+        payload = {k: v for k, v in vars(self).items() if v is not None}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -39,6 +39,11 @@ def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
+def _outside(labels: np.ndarray, pos: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """True where ``ends`` is not in the sorted ``labels``, given ``pos = labels.searchsorted(ends)``."""
+    return labels.take(pos, mode="clip") != ends if labels.size else np.ones(len(ends), dtype=bool)
+
+
 def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
     """Validate a simple digraph and return its arrays ``(labels, indptr, indices)``.
 
@@ -58,12 +63,8 @@ def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
             i, j = edges[int(np.argmax(bad))].tolist()
             raise ValueError(message.format(i=i, j=j))
 
-    def outside(pos: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        # an endpoint is a node iff the label at its searchsorted position is it; no isin copies
-        return labels.take(pos, mode="clip") != ends if labels.size else np.ones(len(ends), dtype=bool)
-
-    reject(outside(src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
-    reject(outside(dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
+    reject(_outside(labels, src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
+    reject(_outside(labels, dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
     reject(src == dst, "self-loop on node {i}")
     same_row = src[1:] == src[:-1]
     reject(np.append(False, same_row & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
@@ -162,10 +163,11 @@ class Digraph:
     def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""
         keep = _integers(keep, "node labels")
-        unknown = keep[~np.isin(keep, self.labels)]
+        pos = self.labels.searchsorted(keep)
+        unknown = keep[_outside(self.labels, pos, keep)]
         if unknown.size:
             raise ValueError(f"nodes {unknown[:5].tolist()} are not in the graph")
-        mask = np.isin(self.labels, keep)
+        mask = np.bincount(pos, minlength=self.num_nodes) > 0
         kept = np.repeat(mask, self.out_degrees) & mask[self.indices]
         before = np.append(0, np.cumsum(kept))  # kept edges ahead of each edge
         indptr = np.append(before[self.indptr[:-1]][mask], before[-1])
@@ -193,13 +195,11 @@ class Digraph:
 
 _MCN_HEADER = re.compile(r"^# mcn r=(\d+) n=(\d+)\s*$")
 _SF_HEADER = re.compile(r"^# sf gamma=(\S+) n=(\d+) seed=(\d+)\s*$")
-_NON_BLANK = re.compile(rb"[^ \t\n\r\v\f]")  # a byte bytes.strip() keeps
 
 # Bytes of the body read_edge_list parses at a time, extended to the next line
 # end. A block's temporaries come to a few times its size; 2^18-byte blocks left
 # the heap fragmented enough to lift the layers benchmark's process peak 2-4 MB.
 _BLOCK = 1 << 16
-_SEPARATOR = np.bincount((9, 10, 13), minlength=256).astype(bool)  # TAB, LF and CR, the bytes below "0" a plain line holds
 _INT64_MAX = np.iinfo(np.int64).max
 
 FileOrPath = Union[str, "IO[str]"]
@@ -246,44 +246,33 @@ def _header(first: str):
 
 
 def _block_values(block: bytes) -> np.ndarray | None:
-    """The integers of ``block``, LF-ended lines that are each blank or "i<TAB>j".
+    """The integers of ``block``, "i<TAB>j" lines each ended by LF or CRLF.
 
-    Returns None if any line may be anything else: a comment, a stray byte,
-    a wrong field count, a CR not before LF, or a field of more than 19
-    digits or at 2^63-1, where ``np.fromstring`` saturates.
+    Returns None if any line may be anything else, or has a field of more
+    than 19 digits or at 2^63-1, where ``np.fromstring`` saturates.
     """
+    block = block.replace(b"\r\n", b"\n")
     b = np.frombuffer(block, np.uint8)
-    if b.max() > ord("9"):
-        return None
     seps = np.flatnonzero(b < ord("0"))
-    kind = b[seps]
-    if not _SEPARATOR[kind].all():
-        return None
-    digits = np.diff(seps, prepend=-1) - 1  # digits just before each separator
-    tab, cr = np.flatnonzero(kind == 9), np.flatnonzero(kind == 13)  # the last separator is an LF
-    if (digits.max() > 19 or (digits[tab] == 0).any() or (digits[tab + 1] == 0).any()
-            or (kind[tab + 1] == 9).any() or (kind[cr + 1] != 10).any() or (digits[cr + 1] != 0).any()):
+    kind, digits = b[seps], np.diff(seps, prepend=-1) - 1  # digits just before each separator
+    if (b.max() > ord("9") or (kind[0::2] != 9).any() or (kind[1::2] != 10).any()
+            or digits.min() < 1 or digits.max() > 19):
         return None
     values = np.fromstring(block, dtype=np.int64, sep=" ")
-    if len(values) != 2 * len(tab) or (values == _INT64_MAX).any():  # a line without a TAB, or saturation
-        return None
-    return values
+    return None if (values == _INT64_MAX).any() else values
 
 
 def _read_blocks(data: bytes):
-    """Node range (None without a header) and (E, 2) edges of ``data``, parsed
-    ``_BLOCK`` bytes at a time; None if any line is not plain, for the line loop."""
-    m = _NON_BLANK.search(data)
-    begin = data.rfind(b"\n", 0, m.start()) + 1 if m else len(data)  # the first non-blank line
-    end = data.find(b"\n", begin) + 1 or len(data)
-    first = data[begin:end].rstrip(b"\r\n")
-    if not first.isascii() or b"\r" in first:
-        return None  # a lone CR splits the line in the line loop
-    first = first.decode("ascii").strip()
-    if m and not first:
-        return None  # whitespace that str.strip sees and bytes.strip does not
-    header, nodes, fits = _header(first)
-    body = end if first.startswith("#") else begin
+    """Node range (None without a header) and (E, 2) edges of ``data`` in the layout
+    write_edge_list writes, parsed ``_BLOCK`` bytes at a time; None for any other."""
+    body, nodes, fits = 0, None, None
+    if data.startswith(b"#"):  # the writer puts a header on line 1 or nowhere
+        body = data.find(b"\n") + 1 or len(data)
+        if not data[:body].isascii():
+            return None
+        header, nodes, fits = _header(data[:body].decode("ascii").strip())
+        if header is None:
+            return None
     edges = np.empty((data.count(b"\t", body), 2), np.int64)
     flat, filled = edges.reshape(-1), 0
     while body < len(data):
@@ -328,21 +317,17 @@ def read_edge_list(file: FileOrPath) -> Digraph:
     offending line. Without a header, the node set is what the edges mention.
     A lone CR ends a line, read from a path or from a handle.
 
-    The body is parsed in numpy blocks. If any block holds a line other than
-    a blank one or "i<TAB>j", the whole text goes through the line loop,
-    which alone words the errors.
+    The writer's layout is parsed in numpy blocks; any other layout goes
+    through the line loop, which gives the same graph and words the errors.
     """
     if hasattr(file, "read"):
-        text = file.read()
-        data = text.encode("utf-8", "surrogatepass")
-    else:
+        data, errors = file.read().encode("utf-8", "surrogatepass"), "surrogatepass"
+    else:  # a path's decoding errors are those of open(file, encoding="utf-8")
         with open(file, "rb") as fh:
-            data = fh.read()
-        text = None
+            data, errors = fh.read(), "strict"
     parsed = _read_blocks(data)
-    if parsed is None:  # a path's bytes are decoded as open(file, encoding="utf-8") would, errors included
-        parsed = _read_lines(io.StringIO(text, newline=None) if text is not None
-                             else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    del data, text  # before the graph's arrays are built
+    if parsed is None:
+        parsed = _read_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors))
+    del data  # before the graph's arrays are built
     nodes, edges = parsed
     return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)

@@ -185,9 +185,9 @@ def test_matching_no_edges():
 
 
 def test_empty_graph_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph has no nodes$"):
         min_drivers_exact(Digraph({}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph has no nodes$"):
         min_drivers_matching(Digraph({}))
 
 

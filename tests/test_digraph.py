@@ -36,26 +36,32 @@ def test_successors_and_degrees():
         g.successors(9)
 
 
-@pytest.mark.parametrize(
-    "succ",
-    [
-        {1: (1,)},              # self-loop
-        {1: (2, 2), 2: ()},     # duplicate successor
-        {1: (3, 2), 2: (), 3: ()},  # unsorted
-        {1: (4,), 2: ()},       # edge out of node set
-        {0: ()},                # non-positive label
-    ],
-)
-def test_rejects_invalid_graphs(succ):
-    with pytest.raises(ValueError):
+INVALID_GRAPHS = [
+    ({1: (1,)}, "self-loop on node 1"),
+    ({1: (2, 2), 2: ()}, "duplicate edge 1->2"),
+    ({1: (3, 2), 2: (), 3: ()}, "successor list of node 1 is not strictly increasing"),
+    ({1: (4,), 2: ()}, "edge 1->4 points outside the node set"),
+    ({0: ()}, "node labels must be positive integers, got 0"),
+    ({1: (3, 2), 2: (4,), 3: ()}, "edge 2->4 points outside the node set"),
+]
+
+
+@pytest.mark.parametrize("succ, message", INVALID_GRAPHS, ids=[f"succ{k}" for k in range(len(INVALID_GRAPHS))])
+def test_rejects_invalid_graphs(succ, message):
+    with pytest.raises(ValueError) as exc:
         Digraph(succ)
+    assert str(exc.value) == message
 
 
 def test_from_edges_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Digraph.from_edges([1, 2], [(1, 2), (1, 2)])
-    with pytest.raises(ValueError):
-        Digraph.from_edges([1], [(1, 2)])
+    for nodes, edges, message in [
+        ([1, 2], [(1, 2), (1, 2)], "duplicate edge 1->2"),
+        ([1], [(1, 2)], "edge 1->2 points outside the node set"),
+        ([1.5], [], "node labels must be 64-bit integers, not float64"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Digraph.from_edges(nodes, edges)
+        assert str(exc.value) == message
 
 
 def test_subgraph_induced():

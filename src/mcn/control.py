@@ -242,6 +242,8 @@ class ControlReport:
 def _report(g: Digraph, rank_value: int, drivers: list[int], method: str) -> ControlReport:
     """Report with ``drivers`` given as node positions, turned into labels here."""
     n = g.num_nodes
+    if n == 0:
+        raise ValueError("graph has no nodes")
     n_d = max(1, n - rank_value)
     return ControlReport(
         n_nodes=n,
@@ -268,11 +270,9 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     are peeled in rounds, by the rules listed in ``_dependent_rows``. Each
     settles a row exactly as elimination in label order would, in any field
     and without fill-in, so the rank and the driver set are unchanged; the
-    peel stops once a round removes fewer than 1/64 of the live rows, and
-    only the remaining core is eliminated.
+    peel stops once a round removes fewer than 1/PEEL_STOP of the live
+    rows, and only the remaining core is eliminated.
     """
-    if g.num_nodes == 0:
-        raise ValueError("graph has no nodes")
     rank_value, dependent = _dependent_rows(coupling_matrix(g, weighting=weighting, seed=seed))
     return _report(g, rank_value, dependent, "exact_rank")
 
@@ -328,8 +328,6 @@ def min_drivers_matching(g: Digraph) -> ControlReport:
     arbitrary graphs such as attacked subgraphs. The drivers are the
     in-copies that ``_max_matching`` leaves free.
     """
-    if g.num_nodes == 0:
-        raise ValueError("graph has no nodes")
     drivers = np.flatnonzero(_max_matching(g)[0] < 0).tolist()
     return _report(g, g.num_nodes - len(drivers), drivers, "matching")
 

@@ -44,34 +44,6 @@ def _outside(labels: np.ndarray, pos: np.ndarray, ends: np.ndarray) -> np.ndarra
     return labels.take(pos, mode="clip") != ends if labels.size else np.ones(len(ends), dtype=bool)
 
 
-def _csr(nodes: Iterable[int], pairs: Iterable[tuple[int, int]] | np.ndarray):
-    """Validate a simple digraph and return its arrays ``(labels, indptr, indices)``.
-
-    ``pairs`` lists the edges (i, j) grouped by ascending source, each
-    source's targets in strictly increasing order; a repeated edge is named
-    as a duplicate. Every validating constructor funnels through here.
-    """
-    labels = np.sort(_integers(nodes, "node labels"))
-    if labels.size and labels[0] < 1:
-        raise ValueError(f"node labels must be positive integers, got {int(labels[0])}")
-    labels = labels[np.diff(labels, prepend=0) > 0]  # drop repeated labels
-    edges = _integers(pairs, "edge endpoints").reshape(-1, 2)
-    src, dst = np.searchsorted(labels, edges[:, 0]), np.searchsorted(labels, edges[:, 1])
-
-    def reject(bad: np.ndarray, message: str) -> None:
-        if bad.any():
-            i, j = edges[int(np.argmax(bad))].tolist()
-            raise ValueError(message.format(i=i, j=j))
-
-    reject(_outside(labels, src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
-    reject(_outside(labels, dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
-    reject(src == dst, "self-loop on node {i}")
-    same_row = src[1:] == src[:-1]
-    reject(np.append(False, same_row & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
-    reject(np.append(False, same_row & (dst[1:] < dst[:-1])), "successor list of node {i} is not strictly increasing")
-    return labels, np.searchsorted(src, np.arange(len(labels) + 1)), dst
-
-
 class Digraph:
     """A simple directed graph in compressed sparse row (CSR) form.
 
@@ -88,28 +60,47 @@ class Digraph:
 
     def __init__(self, successors: Mapping[int, Iterable[int]]):
         nodes = sorted(successors)
-        self._set(*_csr(nodes, [(m, j) for m in nodes for j in successors[m]]))
-
-    def _set(self, *arrays: np.ndarray) -> None:
-        for a in arrays:
-            a.flags.writeable = False
-        self.labels, self.indptr, self.indices = arrays
+        Digraph.from_edges(nodes, ())  # a bad label is named before a bad edge
+        pairs = np.array([(m, j) for m in nodes for j in successors[m]]).reshape(-1, 2)
+        g = Digraph.from_edges(nodes, pairs)
+        bad = g.labels[g.indices] != pairs[:, 1]  # from_edges sorts the rows; a mapping's must already ascend
+        if bad.any():
+            raise ValueError(f"successor list of node {pairs[np.argmax(bad), 0]} is not strictly increasing")
+        self.labels, self.indptr, self.indices = g.labels, g.indptr, g.indices
 
     @classmethod
     def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> "Digraph":
         """Wrap CSR arrays that are valid by construction, without checking them."""
         g = cls.__new__(cls)
-        g._set(labels, indptr, indices)
+        for a in (labels, indptr, indices):
+            a.flags.writeable = False
+        g.labels, g.indptr, g.indices = labels, indptr, indices
         return g
 
     @classmethod
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
-        """Graph on ``nodes`` with the (i, j) ``edges``, given in any order."""
-        pairs = _integers(edges, "edge endpoints").reshape(-1, 2)
-        prev, nxt = pairs[:-1].T, pairs[1:].T
+        """Graph on ``nodes`` with the (i, j) ``edges``, given in any order: the one validating
+        constructor, whose errors name the first bad edge in (i, j) order."""
+        edges = _integers(edges, "edge endpoints").reshape(-1, 2)
+        prev, nxt = edges[:-1].T, edges[1:].T
         if not np.all((nxt[0] > prev[0]) | (nxt[0] == prev[0]) & (nxt[1] >= prev[1])):  # as write_edge_list writes
-            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-        return cls._from_csr(*_csr(nodes, pairs))
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        labels = np.sort(_integers(nodes, "node labels"))
+        if labels.size and labels[0] < 1:
+            raise ValueError(f"node labels must be positive integers, got {int(labels[0])}")
+        labels = labels[np.diff(labels, prepend=0) > 0]  # drop repeated labels
+        src, dst = labels.searchsorted(edges[:, 0]), labels.searchsorted(edges[:, 1])
+
+        def reject(bad: np.ndarray, message: str) -> None:
+            if bad.any():
+                i, j = edges[int(np.argmax(bad))].tolist()
+                raise ValueError(message.format(i=i, j=j))
+
+        reject(_outside(labels, src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
+        reject(_outside(labels, dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
+        reject(src == dst, "self-loop on node {i}")
+        reject(np.append(False, (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
+        return cls._from_csr(labels, src.searchsorted(np.arange(len(labels) + 1)), dst)
 
     @property
     def nodes(self) -> tuple[int, ...]:

@@ -43,6 +43,9 @@ INVALID_GRAPHS = [
     ({1: (4,), 2: ()}, "edge 1->4 points outside the node set"),
     ({0: ()}, "node labels must be positive integers, got 0"),
     ({1: (3, 2), 2: (4,), 3: ()}, "edge 2->4 points outside the node set"),
+    # other faults in an out-of-order row are named in (i, j) order, as from_edges names them
+    ({1: (9, 8)}, "edge 1->8 points outside the node set"),
+    ({1: (3, 2, 3), 2: (), 3: ()}, "duplicate edge 1->3"),
 ]
 
 

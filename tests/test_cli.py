@@ -4,9 +4,11 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mcn
 from mcn.cli import ATTACK_MATCHING_BUDGET, main
 from mcn.digraph import GRAPH_SIZE_BUDGET
 from mcn.layers import LayerSpec, degree_histogram
@@ -16,6 +18,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def mcn_env(**extra):
+    """Environment in which ``python -m mcn`` imports the package under test."""
+    return {**os.environ, "PYTHONPATH": str(Path(mcn.__file__).parents[1]), **extra}
 
 
 # --- build -------------------------------------------------------------------
@@ -283,6 +290,7 @@ def test_module_entry_point():
          "--method", "garner"],
         capture_output=True,
         text=True,
+        env=mcn_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["x0"] == 23
@@ -409,7 +417,7 @@ def test_oversized_graph_refused_before_allocating(tmp_path, argv):
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        env=mcn_env(OPENBLAS_NUM_THREADS="1"),
         preexec_fn=_cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -1,14 +1,11 @@
 import argparse
 import json
-import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import mcn
 from mcn.cli import ATTACK_MATCHING_BUDGET, main
 from mcn.digraph import GRAPH_SIZE_BUDGET
 from mcn.layers import LayerSpec, degree_histogram
@@ -18,11 +15,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def mcn_env(**extra):
-    """Environment in which ``python -m mcn`` imports the package under test."""
-    return {**os.environ, "PYTHONPATH": str(Path(mcn.__file__).parents[1]), **extra}
 
 
 # --- build -------------------------------------------------------------------
@@ -284,13 +276,13 @@ def test_argparse_errors_use_prefix_and_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_module_entry_point():
+def test_module_entry_point(mcn_env):
     proc = subprocess.run(
         [sys.executable, "-m", "mcn", "crt", "2 mod 3", "3 mod 5", "2 mod 7",
          "--method", "garner"],
         capture_output=True,
         text=True,
-        env=mcn_env(),
+        env=mcn_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["x0"] == 23
@@ -406,7 +398,7 @@ def _cap_address_space():
     ],
     ids=["build", "control", "attack", "sf", "header"],
 )
-def test_oversized_graph_refused_before_allocating(tmp_path, argv):
+def test_oversized_graph_refused_before_allocating(tmp_path, argv, mcn_env):
     # Capped, so that a graph allocated before the check fails with "out of memory"
     # instead of filling the machine.
     header_file = tmp_path / "huge.tsv"
@@ -417,7 +409,7 @@ def test_oversized_graph_refused_before_allocating(tmp_path, argv):
         capture_output=True,
         text=True,
         timeout=60,
-        env=mcn_env(OPENBLAS_NUM_THREADS="1"),
+        env={**mcn_env, "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=_cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -1,13 +1,10 @@
 """Every demo script runs to completion against the package source."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import mcn
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
@@ -17,10 +14,9 @@ def test_all_four_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs_cleanly(script, tmp_path):
-    src = str(Path(mcn.__file__).parents[1])
+def test_demo_runs_cleanly(script, tmp_path, mcn_env):
     proc = subprocess.run(
         [sys.executable, str(script)], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env=mcn_env,
     )
     assert (proc.returncode, proc.stderr) == (0, "")

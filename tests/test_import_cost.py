@@ -1,14 +1,10 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import mcn
 
-
-def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
+def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
     # scipy.sparse.csgraph alone roughly doubles the resident size of
     # `import mcn`, and np.unique's default path pulls in numpy.ma; a CLI
     # run on a graph should pay for neither.
@@ -20,15 +16,14 @@ def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
         "main(['attack', '--input', 'g.tsv', '--strategy', 'random', '--trials', '2'])\n"
         "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
     )
-    src = str(Path(mcn.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True,
+        env=mcn_env, check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"
 
 
-def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path):
+def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
     # kbar=8 leaves a core after the degree-1 peel, so Hopcroft-Karp runs on it
     # in `control` and at the attack's p = 0 point.
     code = (
@@ -42,10 +37,9 @@ def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path):
         "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
         "print(_max_matching(read_edge_list('g.tsv'))[1] > 0)\n"
     )
-    src = str(Path(mcn.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True,
+        env=mcn_env, check=True,
     ).stdout
     assert out.splitlines()[-2:] == ["[]", "True"]
 
@@ -63,13 +57,12 @@ def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path):
         "    assert read_edge_list('g.tsv').num_edges == 1\n",
     ],
 )
-def test_edge_list_io_loads_neither_scipy_nor_numpy_ma(tmp_path, steps):
+def test_edge_list_io_loads_neither_scipy_nor_numpy_ma(tmp_path, steps, mcn_env):
     code = "import sys\nfrom mcn.cli import main\n" + steps + (
         "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
     )
-    src = str(Path(mcn.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, check=True,
+        env=mcn_env, check=True,
     ).stdout
     assert out.splitlines()[-1] == "[]"

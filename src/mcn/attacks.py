@@ -174,10 +174,9 @@ def generate_static_sf(spec: StaticModelSpec) -> Digraph:
                 f"({len(codes)}/{m} edges); graph too dense for this weight law"
             )
         chunk = min(max(4096, 2 * (m - len(codes))), budget - used)
-        sources = rng.choice(n, size=chunk, p=prob)
-        targets = rng.choice(n, size=chunk, p=prob)
+        drawn = rng.choice(n, size=chunk, p=prob) * n + rng.choice(n, size=chunk, p=prob)  # s * n + t
         used += chunk
-        drawn = np.concatenate((codes, (sources * n + targets)[sources != targets]))
+        drawn = np.concatenate((codes, drawn[drawn % (n + 1) != 0]))  # s == t exactly when n + 1 divides s * n + t
         order = np.argsort(drawn, kind="stable")
         first = np.sort(order[np.diff(drawn[order], prepend=-1) != 0])  # first draw of each code
         codes = drawn[first][:m]

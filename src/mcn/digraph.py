@@ -60,7 +60,6 @@ class Digraph:
 
     def __init__(self, successors: Mapping[int, Iterable[int]]):
         nodes = sorted(successors)
-        Digraph.from_edges(nodes, ())  # a bad label is named before a bad edge
         pairs = np.array([(m, j) for m in nodes for j in successors[m]]).reshape(-1, 2)
         g = Digraph.from_edges(nodes, pairs)
         bad = g.labels[g.indices] != pairs[:, 1]  # from_edges sorts the rows; a mapping's must already ascend
@@ -81,26 +80,26 @@ class Digraph:
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]] | np.ndarray) -> "Digraph":
         """Graph on ``nodes`` with the (i, j) ``edges``, given in any order: the one validating
         constructor, whose errors name the first bad edge in (i, j) order."""
+        labels = np.sort(_integers(nodes, "node labels"))  # a bad label is named before a bad edge
+        if labels.size and labels[0] < 1:
+            raise ValueError(f"node labels must be positive integers, got {int(labels[0])}")
+        labels = labels[np.diff(labels, prepend=0) > 0]  # drop repeated labels
         edges = _integers(edges, "edge endpoints").reshape(-1, 2)
         prev, nxt = edges[:-1].T, edges[1:].T
         if not np.all((nxt[0] > prev[0]) | (nxt[0] == prev[0]) & (nxt[1] >= prev[1])):  # as write_edge_list writes
             edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        labels = np.sort(_integers(nodes, "node labels"))
-        if labels.size and labels[0] < 1:
-            raise ValueError(f"node labels must be positive integers, got {int(labels[0])}")
-        labels = labels[np.diff(labels, prepend=0) > 0]  # drop repeated labels
-        src, dst = labels.searchsorted(edges[:, 0]), labels.searchsorted(edges[:, 1])
+        i, j = edges.T
 
         def reject(bad: np.ndarray, message: str) -> None:
             if bad.any():
-                i, j = edges[int(np.argmax(bad))].tolist()
-                raise ValueError(message.format(i=i, j=j))
+                raise ValueError(message.format(*edges[int(np.argmax(bad))].tolist()))  # {0}->{1} is the edge i->j
 
-        reject(_outside(labels, src, edges[:, 0]), "edge {i}->{j} starts outside the node set")
-        reject(_outside(labels, dst, edges[:, 1]), "edge {i}->{j} points outside the node set")
-        reject(src == dst, "self-loop on node {i}")
-        reject(np.append(False, (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])), "duplicate edge {i}->{j}")
-        return cls._from_csr(labels, src.searchsorted(np.arange(len(labels) + 1)), dst)
+        reject(_outside(labels, labels.searchsorted(i), i), "edge {0}->{1} starts outside the node set")
+        indices = labels.searchsorted(j)
+        reject(_outside(labels, indices, j), "edge {0}->{1} points outside the node set")
+        reject(i == j, "self-loop on node {0}")  # both ends are nodes, so equal labels are equal positions
+        reject(np.append(False, (i[1:] == i[:-1]) & (j[1:] == j[:-1])), "duplicate edge {0}->{1}")
+        return cls._from_csr(labels, np.append(i.searchsorted(labels), len(edges)), indices)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -160,8 +159,7 @@ class Digraph:
             raise ValueError(f"nodes {unknown[:5].tolist()} are not in the graph")
         mask = np.bincount(pos, minlength=self.num_nodes) > 0
         kept = np.repeat(mask, self.out_degrees) & mask[self.indices]
-        before = np.append(0, np.cumsum(kept))  # kept edges ahead of each edge
-        indptr = np.append(before[self.indptr[:-1]][mask], before[-1])
+        indptr = np.cumsum(np.append(False, kept))[self.indptr][np.append(mask, True)]  # kept edges before kept rows
         renumber = np.cumsum(mask) - 1
         return Digraph._from_csr(self.labels[mask], indptr, renumber[self.indices[kept]])
 
@@ -283,7 +281,7 @@ def _read_lines(fh: Iterable[str]):
     # the first non-blank line is the only one that can be a header
     first = next(((lineno, s) for lineno, line in lines if (s := line.strip())), (0, ""))
     header, nodes, fits = _header(first[1])
-    sources, targets = array("q"), array("q")
+    pairs = array("q")  # i, j, i, j, ...
     for lineno, line in chain((first,), lines):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -291,13 +289,13 @@ def _read_lines(fh: Iterable[str]):
         try:
             a, b = line.split("\t")  # a wrong field count raises here too
             i, j = int(a), int(b)
-            sources.append(i)  # an endpoint beyond int64 raises OverflowError here
-            targets.append(j)
+            pairs.append(i)  # an endpoint beyond int64 raises OverflowError here
+            pairs.append(j)
         except (ValueError, OverflowError):
             raise ValueError(f"line {lineno}: malformed edge-list line: {line!r}") from None
         if fits is not None and not fits(i, j):
             raise ValueError(f"line {lineno}: edge {i}->{j} is not an edge of {header!r}")
-    return nodes, np.column_stack((sources, targets))
+    return nodes, np.frombuffer(pairs, np.int64).reshape(-1, 2)
 
 
 def read_edge_list(file: FileOrPath) -> Digraph:

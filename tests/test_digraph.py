@@ -15,7 +15,7 @@ from mcn import (
     sf_header,
     write_edge_list,
 )
-from mcn.digraph import _BATCH
+from mcn.digraph import _BATCH, _read_lines
 from mcn.layers import LayerSpec, build_layer
 
 
@@ -61,6 +61,9 @@ def test_from_edges_rejects_duplicates():
         ([1, 2], [(1, 2), (1, 2)], "duplicate edge 1->2"),
         ([1], [(1, 2)], "edge 1->2 points outside the node set"),
         ([1.5], [], "node labels must be 64-bit integers, not float64"),
+        # labels are checked before the pairs
+        ([0], [(1, 1.5)], "node labels must be positive integers, got 0"),
+        ([1.5], [(1, 1.5)], "node labels must be 64-bit integers, not float64"),
     ]:
         with pytest.raises(ValueError) as exc:
             Digraph.from_edges(nodes, edges)
@@ -159,16 +162,57 @@ def test_edges_across_batch_boundaries(name):
     assert back.num_edges == g.num_edges
 
 
-def _edges_traced_peak(n):
-    g = build_layer(LayerSpec(1, n))
+def _traced_peak(call):
+    """Peak bytes that ``call()`` allocates above what is held when it starts."""
     tracemalloc.start()
     try:
-        deque(g.edges(), maxlen=0)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _edges_traced_peak(n):
+    g = build_layer(LayerSpec(1, n))
+    return _traced_peak(lambda: deque(g.edges(), maxlen=0))
+
+
 def test_edges_holds_one_batch_at_a_time():
     # 6x the nodes is about 7x the edges; edge-sized arrays would grow the peak with them
     assert _edges_traced_peak(60000) < 2 * _edges_traced_peak(10000)
+
+
+# --- each edge-sized array held once ---------------------------------------------
+#
+# Peaks as multiples of the edge data, 8 bytes per edge and endpoint, on the
+# r = 1, N = 2e4 layer (181,148 edges): one more edge-sized int64 array alive
+# at the peak crosses each bound.
+
+
+def test_from_edges_holds_one_position_array():
+    g = build_layer(LayerSpec(1, 20000))
+    pairs = np.column_stack((np.repeat(g.labels, g.out_degrees), g.labels[g.indices]))  # sorted
+    built = []
+    assert _traced_peak(lambda: built.append(Digraph.from_edges(g.labels, pairs))) <= 1.3 * pairs.nbytes
+    assert built == [g]
+
+
+def test_line_loop_holds_one_pair_buffer():
+    g = build_layer(LayerSpec(1, 20000))
+    buf = io.StringIO()
+    write_edge_list(g, buf, header=layer_header(1, 20000))
+    text = buf.getvalue().replace("\n", "\n# c\n", 1)  # a comment line: only the line loop reads it
+    fh, parsed = io.StringIO(text), []
+    assert _traced_peak(lambda: parsed.append(_read_lines(fh))) <= 1.4 * 16 * g.num_edges
+    assert read_edge_list(io.StringIO(text)) == Digraph.from_edges(*parsed[0]) == g
+
+
+def test_static_sf_holds_one_code_array_per_chunk():
+    spec = StaticModelSpec(20000, 2.5, 8, seed=0)
+    assert _traced_peak(lambda: generate_static_sf(spec)) <= 12.5 * 8 * spec.num_edges
+
+
+def test_subgraph_holds_one_running_sum():
+    g = build_layer(LayerSpec(1, 20000))
+    keep = np.delete(g.labels, np.arange(0, g.num_nodes, 10))  # 9 of every 10 nodes
+    assert _traced_peak(lambda: g.subgraph(keep)) <= 2.75 * 8 * g.num_edges

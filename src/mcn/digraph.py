@@ -16,9 +16,9 @@ _BATCH = 1 << 16  # edges that Digraph.edges() and write_edge_list handle at a t
 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
 # matches 1.0M nodes and 13.0M edges at a 271 MB process peak, about 20 B per node
-# or edge (335 MB at r=0). Reading that layer's edge list peaks at 562 MB, about
-# 40 B per node or edge, and the static-model sampler needs about 105 B (`mcn sf
-# --n 200000 --kbar 13`: 321 MB), so a graph at the budget needs at most 1.5 GB.
+# or edge (335 MB at r=0). Reading that layer's edge list peaks at 459 MB, about
+# 34 B per node or edge, and the static-model sampler needs about 90 B (`mcn sf
+# --n 200000 --kbar 13`: 241 MB), so a graph at the budget needs at most 1.4 GB.
 GRAPH_SIZE_BUDGET = 15 * 10**6
 
 

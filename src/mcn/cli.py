@@ -28,8 +28,9 @@ from .layers import (
 )
 
 # Matchings one `mcn attack` may run, one per grid point and trial. At
-# --r 1 --n 50 a point costs about 0.3 ms (2,001 targeted points in 0.61 s,
-# 20,001 in 5.1 s), so the budget is about 30 s there, more on bigger graphs.
+# --r 1 --n 50, where about 300 survivors share one union, a point costs about
+# 40 us (2,001 targeted points in 0.21-0.30 s, 20,001 in 0.72-0.94 s, start-up
+# included), so the budget is about 4 s there, more on bigger graphs.
 ATTACK_MATCHING_BUDGET = 10**5
 
 _CONGRUENCE = re.compile(r"^\s*0*(\d+)\s+mod\s+0*(\d+)\s*$")  # groups without leading zeros

@@ -285,38 +285,56 @@ def _pick_lone(pick: np.ndarray, side: np.ndarray, partner: np.ndarray) -> None:
     np.minimum.at(pick, partner[e], e)
 
 
-def _max_matching(g: Digraph) -> tuple[np.ndarray, int]:
-    """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the core's edge count.
+def _max_matching(rows: np.ndarray, cols: np.ndarray, width: int, blocks: int = 1) -> tuple[np.ndarray, int]:
+    """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the cores' edge count.
 
-    Degree-1 copies are matched in numpy rounds, as some maximum matching
-    does (Karp and Sipser, FOCS 1981). The smallest edge wins a shared
-    partner, and an edge taken at an out-copy and one taken at an in-copy
-    are equal or disjoint, so a round is one matching. Hopcroft-Karp matches
-    the core left once no copy has degree 1 or a round drops under
-    1/PEEL_STOP of the live edges.
+    The graph is a disjoint union of ``blocks`` blocks of ``width`` nodes each:
+    edge ``e`` joins out-copy ``rows[e]`` to in-copy ``cols[e]`` of one block,
+    and ``rows`` ascends. Degree-1 copies are matched in numpy rounds, as some
+    maximum matching does (Karp and Sipser, FOCS 1981). The smallest edge wins
+    a shared partner, and an edge taken at an out-copy and one taken at an
+    in-copy are equal or disjoint, so a round is one matching. A block leaves
+    the peel once no copy in it has degree 1 or a round drops under
+    1/PEEL_STOP of its live edges, and Hopcroft-Karp matches its core left in
+    block-local ids, so each block is matched exactly as it would be alone.
     """
-    n = g.num_nodes
-    rows = np.repeat(np.arange(n, dtype=np.int32), g.out_degrees)
-    cols = g.indices  # int64 and read-only; the first round's filter copies it
+    n = width * blocks
+    # first copy of each block, then n; in rows' dtype, or each searchsorted would copy rows
+    starts = np.arange(blocks + 1, dtype=rows.dtype) * width
     match = np.full(n, -1, dtype=np.int32)
-    used = np.zeros(n, dtype=bool)  # out-copies matched so far
+    unused = np.ones(n, dtype=bool)  # out-copies not matched so far
+    live = np.diff(rows.searchsorted(starts)).tolist()  # live edges of each block still in the peel
+    cores = []  # (rows, cols) of blocks that left the peel while others went on
     while len(rows):
         pick = np.full(2 * n, len(rows))  # per in-copy, then per out-copy
         _pick_lone(pick[:n], rows, cols)
         _pick_lone(pick[n:], cols, rows)
         chosen = pick[pick < len(rows)]
         match[cols[chosen]] = rows[chosen]
-        used[rows[chosen]] = True
-        keep = (match < 0)[cols] & (~used)[rows]  # edges between two unmatched copies
+        unused[rows[chosen]] = False
+        keep = (match < 0)[cols] & unused[rows]  # edges between two unmatched copies
         rows = rows[keep]
         cols = cols[keep]
-        if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
+        bounds = rows.searchsorted(starts).tolist()
+        now = [b - a for a, b in zip(bounds, bounds[1:])]
+        stop = [(was - k) * PEEL_STOP < was for was, k in zip(live, now)]
+        live = [0 if s else k for s, k in zip(stop, now)]
+        if not any(live):
             break
-    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # first core edge of each core out-copy
-    bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
-    match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
-    match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]
-    return match, len(rows)
+        if any(stop):
+            left = np.repeat(stop, now)
+            cores.append((rows[left], cols[left]))
+            rows, cols = rows[~left], cols[~left]
+    cores.append((rows, cols))
+    for rows, cols in cores:
+        bounds = rows.searchsorted(starts)
+        for b in np.flatnonzero(np.diff(bounds)).tolist():
+            r, c = rows[bounds[b]:bounds[b + 1]], cols[bounds[b]:bounds[b + 1]] - starts[b]
+            heads = np.flatnonzero(np.diff(r, prepend=-1))  # first core edge of each core out-copy
+            ptr, targets = np.append(heads, len(r)).tolist(), c.tolist()
+            match_l = np.array(hopcroft_karp([targets[a:z] for a, z in zip(ptr, ptr[1:])], width)[0], dtype=np.int64)
+            match[match_l[match_l >= 0] + starts[b]] = r[heads][match_l >= 0]
+    return match, sum(len(rows) for rows, _ in cores)
 
 
 def min_drivers_matching(g: Digraph) -> ControlReport:
@@ -326,10 +344,12 @@ def min_drivers_matching(g: Digraph) -> ControlReport:
     out-copy of i and the in-copy of j; nodes whose in-copy is unmatched
     need a driving signal. Weight-free, so this is the default route for
     arbitrary graphs such as attacked subgraphs. The drivers are the
-    in-copies that ``_max_matching`` leaves free.
+    in-copies that ``_max_matching`` leaves free, on ``g`` as its one block.
     """
-    drivers = np.flatnonzero(_max_matching(g)[0] < 0).tolist()
-    return _report(g, g.num_nodes - len(drivers), drivers, "matching")
+    n = g.num_nodes
+    match, _ = _max_matching(np.repeat(np.arange(n, dtype=np.int32), g.out_degrees), g.indices, n)
+    drivers = np.flatnonzero(match < 0).tolist()
+    return _report(g, n - len(drivers), drivers, "matching")
 
 
 @dataclass(frozen=True)

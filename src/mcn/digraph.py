@@ -221,12 +221,15 @@ def _header(first: str):
     """Header, node range and edge rule that a first non-blank line declares; Nones if none.
 
     The rule takes (i, j) as ints or as int64 arrays and is true where (i, j)
-    may be an edge under the header.
+    may be an edge under the header. It calls no numpy function, so the line
+    loop checks a line in plain int arithmetic; ``i | (i < 1)`` is ``i``, or
+    an odd divisor in place of a ``0`` or negative ``i``, where ``r < i``
+    fails anyway.
     """
     if m := _MCN_HEADER.match(first):
         r, n = int(m.group(1)), int(m.group(2))
         check_graph_size(n - r)
-        return first, np.arange(r + 1, n + 1), lambda i, j: (r < i) & (i < j) & (j <= n) & (j % np.maximum(i, 1) == r)
+        return first, np.arange(r + 1, n + 1), lambda i, j: (r < i) & (i < j) & (j <= n) & (j % (i | (i < 1)) == r)
     if m := _SF_HEADER.match(first):
         n = int(m.group(2))
         check_graph_size(n)

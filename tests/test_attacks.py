@@ -15,6 +15,7 @@ from mcn import (
     min_drivers_matching,
     remove_nodes,
 )
+from mcn.control import _max_matching
 
 
 def survivors_after(n_nodes, p):
@@ -262,18 +263,19 @@ def test_static_sf_exhausted_budget_matches_reference():
 def test_unremoved_points_match_once(monkeypatch):
     import mcn.attacks
 
-    calls = []
+    blocks = []
 
-    def counting(g):
-        calls.append(g.num_nodes)
-        return min_drivers_matching(g)
+    def counting(rows, cols, width, count=1):
+        blocks.append(count)
+        return _max_matching(rows, cols, width, count)
 
     g = build_layer(LayerSpec(1, 60))
     expected = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
-    monkeypatch.setattr(mcn.attacks, "min_drivers_matching", counting)
+    monkeypatch.setattr(mcn.attacks, "_max_matching", counting)
     curve = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
-    # floor(p * 59) is 0 at p = 0 and p = 0.01: one matching each, then 5 trials
-    assert calls == [59, 59] + [59 - 11] * 5
+    # floor(p * 59) is 0 at p = 0 and p = 0.01: one survivor each, then 5 trials,
+    # all handed to the matcher as the blocks of one union
+    assert blocks == [1 + 1 + 5]
     assert curve == expected
     assert curve.points[0].nd_std == 0.0
     assert curve.points[0].trials == 5

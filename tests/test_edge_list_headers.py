@@ -1,9 +1,11 @@
 import io
 
+import numpy as np
 import pytest
 
 from mcn import build_layer, layer_header, read_edge_list, write_edge_list
 from mcn.cli import main
+from mcn.digraph import _header
 from mcn.layers import LayerSpec
 
 
@@ -36,6 +38,18 @@ def test_header_accepts_every_layer_edge():
         g = build_layer(LayerSpec(r, n))
         write_edge_list(g, buf, header=layer_header(r, n))
         assert read_edge_list(io.StringIO(buf.getvalue())) == g
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_layer_edge_rule_is_the_same_on_ints_and_arrays(r):
+    # the line loop checks each line with ints, the block reader each block with arrays
+    n = 14
+    _, _, fits = _header(layer_header(r, n))
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(-3, n + 3), np.arange(-3, n + 3)))
+    per_line = [fits(a, b) for a, b in zip(i.tolist(), j.tolist())]
+    assert {type(x) for x in per_line} == {bool}  # plain int arithmetic, no numpy scalar per line
+    assert per_line == fits(i, j).tolist()
+    assert per_line == [r < a < b <= n and b % a == r for a, b in zip(i.tolist(), j.tolist())]
 
 
 def test_comment_after_first_line_is_not_a_header():

@@ -28,6 +28,7 @@ def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
     # in `control` and at the attack's p = 0 point.
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from mcn.cli import main\n"
         "from mcn.control import _max_matching\n"
         "from mcn.digraph import read_edge_list\n"
@@ -35,7 +36,8 @@ def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
         "main(['control', '--input', 'g.tsv', '--method', 'matching'])\n"
         "main(['attack', '--input', 'g.tsv', '--strategy', 'random', '--steps', '2', '--trials', '2'])\n"
         "print(sorted(m for m in ('scipy', 'numpy.ma') if m in sys.modules))\n"
-        "print(_max_matching(read_edge_list('g.tsv'))[1] > 0)\n"
+        "g = read_edge_list('g.tsv')\n"
+        "print(_max_matching(np.repeat(np.arange(g.num_nodes), g.out_degrees), g.indices, g.num_nodes)[1] > 0)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,

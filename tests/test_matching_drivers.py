@@ -32,9 +32,14 @@ def matching_size(adj, num_right):
     return sum(v >= 0 for v in hopcroft_karp(adj, num_right)[0])
 
 
+def edge_arrays(g):
+    """Source and target position of each edge of ``g``, as ``_max_matching`` takes them."""
+    return np.repeat(np.arange(g.num_nodes), g.out_degrees), g.indices
+
+
 def assert_valid_matching(g, size):
-    """Check ``_max_matching(g)`` against the graph and the maximum ``size``; return its core edge count."""
-    match, core = _max_matching(g)
+    """Check ``_max_matching`` on ``g`` against the graph and the maximum ``size``; return its core edge count."""
+    match, core = _max_matching(*edge_arrays(g), g.num_nodes)
     assert match.shape == (g.num_nodes,)
     v = np.flatnonzero(match >= 0)
     u = match[v].astype(np.int64)

@@ -24,10 +24,13 @@ from .digraph import Digraph, check_graph_size
 # Nodes plus edges of g that one union of attack-trial survivors may hold.
 # Matching survivors together pays the peel's per-round numpy calls once per
 # union, not once per trial. Random and targeted curves (6 points, 5 trials,
-# 3 seeds) on 18 layers and SF graphs of 500-2000 nodes took 1.16 s one trial
-# at a time and 0.84 / 0.75 / 0.72 / 0.77 s at 2^15 / 2^16 / 2^17 / 2^18, with
-# tracemalloc peaks of 0.3 / 0.8 / 1.4 / 2.7 / 5.0 MiB (min of 5 runs, Python
-# 3.11, numpy 2.4, shared 2-CPU VM): past 2^16 the peak doubles for little gain.
+# 3 seeds) on the layers r = 1, 2, 3 at N = 500, 1000, 2000 and an SF graph of
+# each one's size and mean degree took 1.19 s one trial at a time and
+# 0.83 / 0.78 / 0.76 / 0.78 s at 2^15 / 2^16 / 2^17 / 2^18, with tracemalloc
+# peaks of 0.3 / 0.8 / 1.4 / 2.7 / 4.9 MiB (min of 9 runs, Python 3.11, numpy
+# 2.4, shared 2-CPU VM): past 2^16 the peak doubles for no clear gain. A union's
+# whole core goes to Hopcroft-Karp at once, so SF graphs of mean degree 12 peak
+# at 1.3 / 1.9 / 3.7 / 7.1 / 12.7 MiB on the same scale.
 UNION_SIZE = 1 << 16
 
 
@@ -81,9 +84,11 @@ def _free_in_copies(g: Digraph, keep: np.ndarray) -> np.ndarray:
     """Free in-copies of the survivors of ``g`` whose nodes ``keep`` marks, as a (survivors, n) bool array.
 
     Row b marks the drivers of survivor b before the at-least-one rule. The
-    survivors are matched together as the blocks of one disjoint union of
+    survivors are matched together as one graph, the disjoint union of
     copies of g, block b holding g's positions shifted by b * n, so a removed
-    node is an isolated copy that no row marks.
+    node is an isolated copy that no row marks. A maximum matching of the
+    union is one of every block, so row b holds as many marks as survivor b
+    has drivers alone, though not always the same ones.
     """
     blocks, n = keep.shape
     flat = keep.ravel()
@@ -92,7 +97,7 @@ def _free_in_copies(g: Digraph, keep: np.ndarray) -> np.ndarray:
     if not flat.all():
         kept = np.repeat(flat, np.tile(g.out_degrees, blocks)) & flat[cols]  # edges between two kept nodes
     match = _max_matching(  # unnamed, so the peel frees the edges as it drops them
-        _copies(np.repeat(np.arange(n, dtype=np.int32), g.out_degrees), blocks, n)[kept], cols[kept], n, blocks)[0]
+        _copies(np.repeat(np.arange(n, dtype=np.int32), g.out_degrees), blocks, n)[kept], cols[kept], n * blocks)[0]
     return (match < 0).reshape(blocks, n) & keep
 
 
@@ -163,7 +168,9 @@ def attack_curve(
     that removes nothing is matched once. No subgraph is built: consecutive
     survivors are matched together as the blocks of one disjoint union of
     at most ``UNION_SIZE`` nodes plus edges of ``g`` (one survivor at a time
-    when ``g`` is larger), each exactly as it would be matched alone.
+    when ``g`` is larger). Each trial gets a maximum matching of its
+    survivor, so its driver count, and the curve, equal those of the
+    survivor matched alone, while its free in-copies may differ.
     """
     strategy = AttackStrategy(strategy)
     if trials < 1:

@@ -285,26 +285,21 @@ def _pick_lone(pick: np.ndarray, side: np.ndarray, partner: np.ndarray) -> None:
     np.minimum.at(pick, partner[e], e)
 
 
-def _max_matching(rows: np.ndarray, cols: np.ndarray, width: int, blocks: int = 1) -> tuple[np.ndarray, int]:
-    """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the cores' edge count.
+def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the core's edge count.
 
-    The graph is a disjoint union of ``blocks`` blocks of ``width`` nodes each:
-    edge ``e`` joins out-copy ``rows[e]`` to in-copy ``cols[e]`` of one block,
-    and ``rows`` ascends. Degree-1 copies are matched in numpy rounds, as some
-    maximum matching does (Karp and Sipser, FOCS 1981). The smallest edge wins
-    a shared partner, and an edge taken at an out-copy and one taken at an
-    in-copy are equal or disjoint, so a round is one matching. A block leaves
-    the peel once no copy in it has degree 1 or a round drops under
-    1/PEEL_STOP of its live edges, and Hopcroft-Karp matches its core left in
-    block-local ids, so each block is matched exactly as it would be alone.
+    Edge ``e`` joins out-copy ``rows[e]`` to in-copy ``cols[e]`` of a graph of
+    ``n`` nodes, and ``rows`` ascends. Degree-1 copies are matched in numpy
+    rounds, as some maximum matching does (Karp and Sipser, FOCS 1981). The
+    smallest edge wins a shared partner, and an edge taken at an out-copy and
+    one taken at an in-copy are equal or disjoint, so a round is one matching.
+    Hopcroft-Karp matches the core left once no copy has degree 1 or a round
+    drops under 1/PEEL_STOP of the live edges. On a disjoint union of graphs
+    the result is a maximum matching of each part, though not always the one
+    that part would get alone.
     """
-    n = width * blocks
-    # first copy of each block, then n; in rows' dtype, or each searchsorted would copy rows
-    starts = np.arange(blocks + 1, dtype=rows.dtype) * width
     match = np.full(n, -1, dtype=np.int32)
     unused = np.ones(n, dtype=bool)  # out-copies not matched so far
-    live = np.diff(rows.searchsorted(starts)).tolist()  # live edges of each block still in the peel
-    cores = []  # (rows, cols) of blocks that left the peel while others went on
     while len(rows):
         pick = np.full(2 * n, len(rows))  # per in-copy, then per out-copy
         _pick_lone(pick[:n], rows, cols)
@@ -315,26 +310,13 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, width: int, blocks: int = 
         keep = (match < 0)[cols] & unused[rows]  # edges between two unmatched copies
         rows = rows[keep]
         cols = cols[keep]
-        bounds = rows.searchsorted(starts).tolist()
-        now = [b - a for a, b in zip(bounds, bounds[1:])]
-        stop = [(was - k) * PEEL_STOP < was for was, k in zip(live, now)]
-        live = [0 if s else k for s, k in zip(stop, now)]
-        if not any(live):
+        if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
             break
-        if any(stop):
-            left = np.repeat(stop, now)
-            cores.append((rows[left], cols[left]))
-            rows, cols = rows[~left], cols[~left]
-    cores.append((rows, cols))
-    for rows, cols in cores:
-        bounds = rows.searchsorted(starts)
-        for b in np.flatnonzero(np.diff(bounds)).tolist():
-            r, c = rows[bounds[b]:bounds[b + 1]], cols[bounds[b]:bounds[b + 1]] - starts[b]
-            heads = np.flatnonzero(np.diff(r, prepend=-1))  # first core edge of each core out-copy
-            ptr, targets = np.append(heads, len(r)).tolist(), c.tolist()
-            match_l = np.array(hopcroft_karp([targets[a:z] for a, z in zip(ptr, ptr[1:])], width)[0], dtype=np.int64)
-            match[match_l[match_l >= 0] + starts[b]] = r[heads][match_l >= 0]
-    return match, sum(len(rows) for rows, _ in cores)
+    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # first core edge of each core out-copy
+    bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
+    match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
+    match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]
+    return match, len(rows)
 
 
 def min_drivers_matching(g: Digraph) -> ControlReport:
@@ -344,7 +326,7 @@ def min_drivers_matching(g: Digraph) -> ControlReport:
     out-copy of i and the in-copy of j; nodes whose in-copy is unmatched
     need a driving signal. Weight-free, so this is the default route for
     arbitrary graphs such as attacked subgraphs. The drivers are the
-    in-copies that ``_max_matching`` leaves free, on ``g`` as its one block.
+    in-copies that ``_max_matching`` leaves free.
     """
     n = g.num_nodes
     match, _ = _max_matching(np.repeat(np.arange(n, dtype=np.int32), g.out_degrees), g.indices, n)

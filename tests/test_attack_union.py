@@ -1,8 +1,11 @@
 """Attack curves match their trials' survivors as the blocks of one disjoint union.
 
-Each survivor must come out exactly as a subgraph matched on its own: the
-same free in-copies, hence the same drivers and density, wherever the unions
-of a curve begin and end.
+Each trial gets a maximum matching of its survivor, wherever the unions of a
+curve begin and end: it leaves as many in-copies free as
+``min_drivers_matching`` on the survivor that ``remove_nodes`` builds, and the
+free ones are those of some maximum matching of that survivor, though not
+always the ones ``min_drivers_matching`` leaves. The curves, which count
+drivers only, equal those of one subgraph matched per trial bit for bit.
 """
 
 import math
@@ -10,6 +13,7 @@ import statistics
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +31,7 @@ from mcn import (
     remove_nodes,
 )
 from mcn.attacks import AttackStrategy, _trials
+from test_matching_drivers import adjacency, matching_size
 from test_peeling import digraphs
 
 GRID = [0.0, 0.1, 0.3, 0.5]
@@ -38,19 +43,20 @@ def union_sizes(g):
 
 
 def reference_trials(g, strategy, grid, trials, seed):
-    """Oracle: (grid index, report) of each trial, one subgraph and one matching apiece."""
+    """Oracle: (grid index, survivor, report) of each trial, one subgraph and one matching apiece."""
     if AttackStrategy(strategy) is AttackStrategy.TARGETED:
         trials = 1
     for ip, p in enumerate(grid):
         count = math.floor(p * g.num_nodes)
         for t in range(trials if count else 1):
-            yield ip, min_drivers_matching(remove_nodes(g, strategy, p, seed=(seed, ip, t)))
+            survivor = remove_nodes(g, strategy, p, seed=(seed, ip, t))
+            yield ip, survivor, min_drivers_matching(survivor)
 
 
 def reference_curve(g, strategy, grid, trials, seed):
     """Oracle: the curve's points from ``reference_trials``."""
     densities = [[] for _ in grid]
-    for ip, report in reference_trials(g, strategy, grid, trials, seed):
+    for ip, _, report in reference_trials(g, strategy, grid, trials, seed):
         densities[ip].append(report.density)
     if AttackStrategy(strategy) is AttackStrategy.TARGETED:
         trials = 1
@@ -69,14 +75,15 @@ def assert_trials_match_subgraphs(g, strategy, grid=GRID, trials=3, seed=7):
                                1 if strategy == "targeted" else trials, seed))
             curve = attack_curve(g, strategy, grid, trials=trials, seed=seed)
         assert len(got) == len(expected)
-        for (ip, n_nodes, free), (ref_ip, report) in zip(got, expected):
+        for (ip, n_nodes, free), (ref_ip, survivor, report) in zip(got, expected):
             assert ip == ref_ip
-            assert n_nodes == report.n_nodes
-            drivers = tuple(g.labels[free].tolist())
-            if drivers:
-                assert drivers == report.drivers
-            else:  # a full matching: the report still names one node to drive
-                assert report.rank == report.n_nodes
+            assert n_nodes == report.n_nodes == survivor.num_nodes
+            labels = g.labels[free]
+            assert np.isin(labels, survivor.labels).all()  # a removed node is never free
+            assert len(labels) == report.n_nodes - report.rank
+            # the other in-copies can all be matched together: some maximum matching leaves exactly these free
+            drivers = survivor.labels.searchsorted(labels).tolist()
+            assert matching_size(adjacency(survivor, drop=drivers), survivor.num_nodes) == report.rank
         assert curve.points == reference_curve(g, strategy, grid, trials, seed)
 
 
@@ -95,7 +102,7 @@ def test_union_drivers_match_subgraphs_on_layers(r, strategy):
 @pytest.mark.parametrize("strategy", ["random", "targeted"])
 @pytest.mark.parametrize("kbar", [8, 12])
 def test_union_drivers_match_subgraphs_on_sf_graphs_with_cores(kbar, strategy):
-    # these keep a core after the degree-1 peel, so blocks leave it in different rounds
+    # these keep a core after the degree-1 peel, which Hopcroft-Karp matches for all blocks at once
     g = generate_static_sf(StaticModelSpec(n=2000, gamma=2.5, kbar=kbar, seed=1))
     assert_trials_match_subgraphs(g, strategy, grid=[0.0, 0.05, 0.2], trials=2)
 

@@ -99,6 +99,19 @@ def test_targeted_prefix_removal_never_adds_drivers(n, step):
         assert min_drivers_matching(survivor).n_d == 1
 
 
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 5, 8, 13])
+def test_targeted_curves_on_layers_follow_the_closed_form(r):
+    # Removing the k top nodes cuts a prefix off each chain, so n_d(k) = min(n_d(0), n - k):
+    # n_d(0) is r, the chain roots r+1..2r, or ceil(N/2) for r = 0, where i -> 2i matches
+    # every out-copy that has a successor.
+    for big_n in sorted({r + 2, r + 3, 2 * r + 1, 2 * r + 2, 60, 301} - set(range(r + 2))):
+        g = build_layer(LayerSpec(r, big_n))
+        n = g.num_nodes
+        nd0 = min(r, n) if r else math.ceil(big_n / 2)
+        curve = attack_curve(g, "targeted", [(k + 0.5) / n for k in range(n)])
+        assert [pt.nd_mean for pt in curve.points] == [max(1, min(nd0, n - k)) / (n - k) for k in range(n)]
+
+
 def test_random_attacks_hurt_more_than_targeted():
     g = build_layer(LayerSpec(1, 100))
     grid = [0.1, 0.2, 0.3, 0.4, 0.5]
@@ -264,17 +277,17 @@ def test_unremoved_points_match_once(monkeypatch):
     import mcn.attacks
 
     blocks = []
-
-    def counting(rows, cols, width, count=1):
-        blocks.append(count)
-        return _max_matching(rows, cols, width, count)
-
     g = build_layer(LayerSpec(1, 60))
+
+    def counting(rows, cols, n):
+        blocks.append(n // g.num_nodes)  # survivors in the union handed over as one graph
+        return _max_matching(rows, cols, n)
+
     expected = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
     monkeypatch.setattr(mcn.attacks, "_max_matching", counting)
     curve = attack_curve(g, "random", [0.0, 0.01, 0.2], trials=5, seed=2)
     # floor(p * 59) is 0 at p = 0 and p = 0.01: one survivor each, then 5 trials,
-    # all handed to the matcher as the blocks of one union
+    # all handed to the matcher as one union of 7 copies of g
     assert blocks == [1 + 1 + 5]
     assert curve == expected
     assert curve.points[0].nd_std == 0.0

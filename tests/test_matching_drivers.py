@@ -6,11 +6,14 @@ the whole graph, and the drivers are exactly the in-copies left free by some
 maximum matching, which holds iff every other in-copy can be matched at once.
 The matching ``_max_matching`` returns is checked itself: every pair is an
 edge, no copy is used twice, and its free in-copies are the printed drivers.
+On a disjoint union of graphs it is maximum on every block, which is what
+attack curves rely on when they match their trials' survivors together.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcn import Digraph, LayerSpec, StaticModelSpec, build_layer, generate_static_sf, min_drivers_matching
 from mcn.attacks import remove_nodes
@@ -78,6 +81,24 @@ def assert_maximum_matching_drivers(g):
 @given(digraphs())
 def test_drivers_are_free_in_a_maximum_matching(g):
     assert_maximum_matching_drivers(g)
+
+
+@SETTINGS
+@given(st.lists(digraphs(), min_size=1, max_size=7))
+def test_a_union_is_matched_maximally_on_every_block(graphs):
+    # the graphs stacked as blocks, block b's positions shifted by the nodes of the blocks before it
+    starts = np.cumsum([0] + [g.num_nodes for g in graphs])
+    n = int(starts[-1])
+    edges = [edge_arrays(g) for g in graphs]
+    rows = np.concatenate([r + start for (r, _), start in zip(edges, starts)])
+    cols = np.concatenate([c + start for (_, c), start in zip(edges, starts)])
+    match, _ = _max_matching(rows, cols, n)
+    v = np.flatnonzero(match >= 0)
+    u = match[v].astype(np.int64)
+    assert len(set(u.tolist())) == len(u)  # no out-copy matched twice
+    assert set((u * n + v).tolist()) <= set((rows * n + cols).tolist())  # every pair is an edge of its own block
+    for g, a, b in zip(graphs, starts, starts[1:]):
+        assert np.count_nonzero(match[a:b] < 0) == g.num_nodes - matching_size(adjacency(g), g.num_nodes)
 
 
 def attacked(g, strategy, p):

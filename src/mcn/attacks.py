@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO
@@ -221,6 +222,9 @@ class StaticModelSpec:
             raise ValueError(f"degree exponent must exceed 2, got {self.gamma}")
         if not 0.0 < self.kbar < math.inf:
             raise ValueError(f"target mean degree must be positive and finite, got {self.kbar}")
+        # an n above the largest float cannot be converted; the product can still overflow to inf
+        if self.n > sys.float_info.max or math.isinf(self.kbar * self.n):
+            raise ValueError(f"target edge count kbar * n overflows a float, got kbar={self.kbar}, n={self.n}")
 
     @property
     def num_edges(self) -> int:

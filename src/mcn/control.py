@@ -49,8 +49,8 @@ class CouplingMatrix:
 
     Rows and columns are indexed by the position of the node label in
     ``labels`` (ascending). ``entries`` is an (nnz, 3) int64 array of
-    (row, column, weight) sorted by (row, column); weights are elements of
-    GF(FIELD_PRIME).
+    (row, column, weight) in the graph's CSR edge order, i.e. sorted by
+    (column, row); weights are elements of GF(FIELD_PRIME).
     """
 
     labels: np.ndarray
@@ -86,22 +86,20 @@ def _row_dicts(entries: np.ndarray, count: int) -> list[dict[int, int]]:
 def coupling_matrix(g: Digraph, weighting: str = "unit", seed: int | tuple[int, ...] = 0) -> CouplingMatrix:
     """Build the coupling matrix of a graph: the transpose of its CSR adjacency.
 
-    ``weighting="unit"`` places 1 at every entry; ``weighting="random"``
-    places independent uniform nonzero field elements drawn from ``seed``,
-    one per edge in ascending (source, target) order.
+    Entry k is edge k of the graph, source ``i`` -> target ``j`` in CSR order,
+    stored as (row j, column i). ``weighting="unit"`` places 1 at every
+    entry; ``weighting="random"`` places independent uniform nonzero field
+    elements drawn from ``seed``, one per edge in that order.
     """
-    # filled column by column in transposed order: a stable sort by target keeps
-    # each target's sources ascending, and no stacked copy is made to permute
-    order = np.argsort(g.indices, kind="stable")
-    entries = np.empty((len(order), 3), dtype=np.int64)
-    entries[:, 0] = g.indices[order]
-    entries[:, 1] = np.repeat(np.arange(g.num_nodes), g.out_degrees)[order]
+    if weighting not in ("unit", "random"):
+        raise ValueError(f"unknown weighting {weighting!r}")
+    entries = np.empty((g.num_edges, 3), dtype=np.int64)
+    entries[:, 0] = g.indices
+    entries[:, 1] = np.repeat(np.arange(g.num_nodes), g.out_degrees)
     if weighting == "unit":
         entries[:, 2] = 1
-    elif weighting == "random":
-        entries[:, 2] = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=len(order))[order]
     else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+        entries[:, 2] = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=g.num_edges)
     return CouplingMatrix(labels=g.labels, entries=entries)
 
 
@@ -153,9 +151,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
     return len(pivots), dependent
 
 
-# A peel stops once a round removes fewer than 1/PEEL_STOP of the live rows
-# (edges, for the matching): a long cascade that sheds a row or two per round
-# is left to elimination (Hopcroft-Karp).
+# Both peels stop once a round drops fewer than 1/PEEL_STOP of the live edges
+# (coupling-matrix entries, for the rank): a long cascade that sheds an edge or
+# two per round is left to elimination (Hopcroft-Karp).
 PEEL_STOP = 64
 
 
@@ -167,7 +165,6 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     rounds over the live (not yet peeled) rows and columns, without any
     arithmetic:
 
-    * a zero row is dependent;
     * a row that is the only live one in some column lies outside the span
       of all other rows, so it is independent;
     * a row whose one live entry sits in column c, where it is the first
@@ -177,41 +174,34 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
 
     None of the rules changes the status of a row left live, in any field,
     so ``_eliminate`` on the surviving core rows, in their original order
-    and restricted to the live columns, completes the lex-first basis.
+    and restricted to the live columns, completes the lex-first basis. Rows
+    left without entries stay in the core, where ``_eliminate`` finds them
+    dependent.
     """
     n = m.dimension
     row_live = np.ones(n, dtype=bool)
     col_live = np.ones(n, dtype=bool)
-    zero = np.zeros(n, dtype=bool)
     entries = m.entries
-    live = n
-    while live:
+    while len(entries):
         rows, cols = entries[:, 0], entries[:, 1]
         row_count = np.bincount(rows, minlength=n)
         first = np.full(n, n, dtype=np.int64)
         np.minimum.at(first, cols, rows)
         only_in_col = np.bincount(cols, minlength=n)[cols] == 1
         lone = (row_count[rows] == 1) & (first[cols] == rows)
-        independent = np.zeros(n, dtype=bool)
-        independent[rows[only_in_col | lone]] = True
-        zero_now = row_live & (row_count == 0)
-        zero |= zero_now
-        row_live &= ~(independent | zero_now)
+        row_live[rows[only_in_col | lone]] = False
         col_live[cols[lone]] = False
-        removed = int(independent.sum() + zero_now.sum())
+        live = len(entries)
         entries = entries[row_live[rows] & col_live[cols]]
-        if removed * PEEL_STOP < live:
+        if (live - len(entries)) * PEEL_STOP < live:
             break
-        live -= removed
     core = np.flatnonzero(row_live)
     position = np.cumsum(row_live) - 1
     # columns keyed by descending core entry count, ties by index, for _eliminate's max(row) pivot
     key = np.argsort(np.argsort(-np.bincount(entries[:, 1], minlength=n), kind="stable"), kind="stable")
     entries = np.column_stack((position[entries[:, 0]], key[entries[:, 1]], entries[:, 2]))
     core_rank, core_dependent = _eliminate(_row_dicts(entries, len(core)))
-    dependent = np.sort(np.concatenate((np.flatnonzero(zero), core[core_dependent])))
-    peeled_rank = n - int(zero.sum()) - len(core)
-    return peeled_rank + core_rank, dependent.tolist()
+    return n - len(core) + core_rank, core[core_dependent].tolist()
 
 
 def rank(m: CouplingMatrix) -> int:
@@ -266,12 +256,12 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     generic rank; pass ``weighting="random"`` to sample the generic case
     instead.
 
-    Before elimination, zero rows (drivers) and singleton rows and columns
-    are peeled in rounds, by the rules listed in ``_dependent_rows``. Each
-    settles a row exactly as elimination in label order would, in any field
-    and without fill-in, so the rank and the driver set are unchanged; the
-    peel stops once a round removes fewer than 1/PEEL_STOP of the live
-    rows, and only the remaining core is eliminated.
+    Before elimination, singleton rows and columns are peeled in rounds, by
+    the rules listed in ``_dependent_rows``. Each settles a row exactly as
+    elimination in label order would, in any field and without fill-in, so
+    the rank and the driver set are unchanged; the peel stops once a round
+    drops fewer than 1/PEEL_STOP of the live entries, and only the remaining
+    core is eliminated, rows left empty among them.
     """
     rank_value, dependent = _dependent_rows(coupling_matrix(g, weighting=weighting, seed=seed))
     return _report(g, rank_value, dependent, "exact_rank")

@@ -210,6 +210,12 @@ def test_static_sf_validation():
         StaticModelSpec(n=10, gamma=2.5, kbar=0.0)
     with pytest.raises(ValueError):
         generate_static_sf(StaticModelSpec(n=10, gamma=2.5, kbar=20.0))
+    with pytest.raises(ValueError, match="^target mean degree must be positive and finite, got inf$"):
+        StaticModelSpec(n=10, gamma=2.5, kbar=float("inf"))
+    # the second product rounds up to inf; the last n is too large for a float
+    for n, kbar in ((10, 1e308), (3, 5.992310449541053e307), (10**400, 1.0), (10**400, 0.5)):
+        with pytest.raises(ValueError, match="^target edge count kbar \\* n overflows a float"):
+            StaticModelSpec(n=n, gamma=2.5, kbar=kbar)
 
 
 def reference_static_sf(spec):

@@ -229,9 +229,10 @@ def test_sf_deterministic_output(capsys, tmp_path):
 
 
 def test_sf_rejects_infinite_kbar(capsys):
-    code, out, err = run_cli(capsys, "sf", "--n", "100", "--gamma", "2.5", "--kbar", "inf")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for kbar in ("inf", "1e308"):  # 1e308 is finite, but kbar * n is not
+        code, out, err = run_cli(capsys, "sf", "--n", "100", "--gamma", "2.5", "--kbar", kbar)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- crt ---------------------------------------------------------------------------

@@ -97,9 +97,22 @@ def test_random_weighting_same_sparsity_pattern():
         coupling_matrix(g, weighting="gaussian")
 
 
+@pytest.mark.parametrize("weighting", ["unit", "random"])
+@pytest.mark.parametrize("graph", ["layer", "sf"])
+def test_entries_follow_the_csr_edge_order(graph, weighting):
+    if graph == "layer":
+        g = build_layer(LayerSpec(1, 30))
+    else:
+        g = generate_static_sf(StaticModelSpec(n=40, gamma=2.5, kbar=2, seed=3))
+    entries = coupling_matrix(g, weighting=weighting, seed=7).entries
+    assert np.array_equal(entries[:, 0], g.indices)
+    assert np.array_equal(entries[:, 1], np.repeat(np.arange(g.num_nodes), g.out_degrees))
+
+
 # sha256 of the (row, column, weight) int64 entries of random-weight coupling
-# matrices. No CLI command draws these weights, so the golden CLI hashes do
-# not pin that stream. Keys: an int, a tuple and an int above 2^32.
+# matrices, taken in (row, column) order. No CLI command draws these weights,
+# so the golden CLI hashes do not pin that stream. Keys: an int, a tuple and an
+# int above 2^32.
 RANDOM_WEIGHT_SHA256 = {
     ("layer", 7): "66a1b654a50c906a578486579e0665e2acf0665581515e0e006f313b4c907dec",
     ("layer", (7, 2, 5)): "2a4d0f9114dc1aa325dc3c59c52d58511b24e705a5accaef398c5eb86d0ca8c8",
@@ -117,6 +130,7 @@ def test_random_weights_are_pinned(graph, seed):
     else:
         g = generate_static_sf(StaticModelSpec(n=40, gamma=2.5, kbar=2, seed=3))
     entries = coupling_matrix(g, weighting="random", seed=seed).entries
+    entries = entries[np.lexsort((entries[:, 1], entries[:, 0]))]
     digest = hashlib.sha256(entries.astype("<i8").tobytes()).hexdigest()
     assert digest == RANDOM_WEIGHT_SHA256[graph, seed]
 
@@ -165,8 +179,13 @@ def test_exact_drivers_g3_100():
 
 
 def test_exact_drivers_divisibility():
-    rep = min_drivers_exact(build_layer(LayerSpec(0, 9)))
-    assert rep.n_d == 5  # ceil(9 / 2)
+    """The drivers are the odd labels. Row j of the r = 0 layer holds the proper
+    divisors of j, so row 2k is the first to hold column k: the even rows are
+    independent and, up to 2k, span columns 1..k, which hold every proper divisor
+    of an odd j <= 2k + 1; row 1 is empty."""
+    assert min_drivers_exact(build_layer(LayerSpec(0, 9))).n_d == 5  # ceil(9 / 2)
+    for n in [*range(2, 401), 2000, 2001]:
+        assert min_drivers_exact(build_layer(LayerSpec(0, n))).drivers == tuple(range(1, n + 1, 2))
 
 
 def test_full_rank_graph_still_needs_one_driver():

@@ -3,8 +3,9 @@
 Two independent routes to the same quantity:
 
 * exact rank: max(1, n - rank(A)), where A is the coupling matrix
-  (transpose of the adjacency matrix) and rank is computed by exact
-  Gaussian elimination over a large prime field. n - rank(A) is the
+  (transpose of the adjacency matrix), held as the graph's own CSR arrays
+  plus one weight per edge with nothing copied, and rank is computed by
+  exact Gaussian elimination over a large prime field. n - rank(A) is the
   geometric multiplicity of the eigenvalue 0, i.e. the driver count that
   the PBH test demands at lambda = 0. On a congruence layer A is strictly
   triangular, hence nilpotent, 0 is its only eigenvalue and the count is
@@ -47,60 +48,64 @@ ELIMINATION_BUDGET = 10**7
 class CouplingMatrix:
     """Sparse coupling matrix: entry (j, i) is nonzero iff edge i -> j exists.
 
-    Rows and columns are indexed by the position of the node label in
-    ``labels`` (ascending). ``entries`` is an (nnz, 3) int64 array of
-    (row, column, weight) in the graph's CSR edge order, i.e. sorted by
-    (column, row); weights are elements of GF(FIELD_PRIME).
+    The matrix is ``graph``'s own CSR arrays plus one weight per edge, and
+    nothing is copied. Rows and columns are node positions in
+    ``graph.labels``; CSR edge k, source i -> target j, is the entry at row
+    ``graph.indices[k]``, column ``sources[k]``, with weight ``weights[k]``,
+    an element of GF(FIELD_PRIME). The entries are thus sorted by (column, row).
     """
 
-    labels: np.ndarray
-    entries: np.ndarray
+    graph: Digraph
+    weights: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.labels)
+        return self.graph.num_nodes
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Column of every entry: the source position of each CSR edge, int64."""
+        return np.repeat(np.arange(self.dimension), self.graph.out_degrees)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CouplingMatrix):
             return NotImplemented
-        return np.array_equal(self.labels, other.labels) and np.array_equal(self.entries, other.entries)
+        return self.graph == other.graph and np.array_equal(self.weights, other.weights)
 
     def rows(self) -> list[dict[int, int]]:
         """Row-index -> {column: weight} view for elimination, in Python ints."""
-        return _row_dicts(self.entries, self.dimension)
+        return _row_dicts(self.graph.indices, self.sources, self.weights, self.dimension)
 
     def dense(self) -> np.ndarray:
         """Dense int64 array, mainly for inspection and golden tests."""
         a = np.zeros((self.dimension, self.dimension), dtype=np.int64)
-        a[self.entries[:, 0], self.entries[:, 1]] = self.entries[:, 2]
+        a[self.graph.indices, self.sources] = self.weights
         return a
 
 
-def _row_dicts(entries: np.ndarray, count: int) -> list[dict[int, int]]:
-    rows: list[dict[int, int]] = [{} for _ in range(count)]
-    for r, c, w in zip(*entries.T.tolist()):
-        rows[r][c] = w
-    return rows
+def _row_dicts(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, count: int) -> list[dict[int, int]]:
+    row_dicts: list[dict[int, int]] = [{} for _ in range(count)]
+    for r, c, w in zip(rows.tolist(), cols.tolist(), weights.tolist()):
+        row_dicts[r][c] = w
+    return row_dicts
 
 
 def coupling_matrix(g: Digraph, weighting: str = "unit", seed: int | tuple[int, ...] = 0) -> CouplingMatrix:
     """Build the coupling matrix of a graph: the transpose of its CSR adjacency.
 
-    Entry k is edge k of the graph, source ``i`` -> target ``j`` in CSR order,
-    stored as (row j, column i). ``weighting="unit"`` places 1 at every
-    entry; ``weighting="random"`` places independent uniform nonzero field
-    elements drawn from ``seed``, one per edge in that order.
+    The matrix keeps ``g`` itself and allocates only the weights, one per
+    edge in CSR order; no array of ``g`` is copied. ``weighting="unit"``
+    places 1 at every entry; ``weighting="random"`` places independent
+    uniform nonzero field elements drawn from ``seed``, one per edge in that
+    order.
     """
     if weighting not in ("unit", "random"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    entries = np.empty((g.num_edges, 3), dtype=np.int64)
-    entries[:, 0] = g.indices
-    entries[:, 1] = np.repeat(np.arange(g.num_nodes), g.out_degrees)
     if weighting == "unit":
-        entries[:, 2] = 1
+        weights = np.ones(g.num_edges, dtype=np.int64)
     else:
-        entries[:, 2] = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=g.num_edges)
-    return CouplingMatrix(labels=g.labels, entries=entries)
+        weights = np.random.default_rng(seed).integers(1, FIELD_PRIME, size=g.num_edges)
+    return CouplingMatrix(graph=g, weights=weights)
 
 
 def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
@@ -163,7 +168,9 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     Row j is dependent iff it lies in the span of the rows before it, a
     property of the matrix alone. Singleton lines are peeled first, in
     rounds over the live (not yet peeled) rows and columns, without any
-    arithmetic:
+    arithmetic. The live entries are three 1-D arrays, rows, columns and
+    weights, starting as ``m.graph.indices``, ``m.sources`` and
+    ``m.weights`` and filtered by one mask per round:
 
     * a row that is the only live one in some column lies outside the span
       of all other rows, so it is independent;
@@ -181,9 +188,8 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     n = m.dimension
     row_live = np.ones(n, dtype=bool)
     col_live = np.ones(n, dtype=bool)
-    entries = m.entries
-    while len(entries):
-        rows, cols = entries[:, 0], entries[:, 1]
+    rows, cols, weights = m.graph.indices, m.sources, m.weights
+    while len(rows):
         row_count = np.bincount(rows, minlength=n)
         first = np.full(n, n, dtype=np.int64)
         np.minimum.at(first, cols, rows)
@@ -191,16 +197,15 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
         lone = (row_count[rows] == 1) & (first[cols] == rows)
         row_live[rows[only_in_col | lone]] = False
         col_live[cols[lone]] = False
-        live = len(entries)
-        entries = entries[row_live[rows] & col_live[cols]]
-        if (live - len(entries)) * PEEL_STOP < live:
+        keep = row_live[rows] & col_live[cols]
+        rows, cols, weights = rows[keep], cols[keep], weights[keep]
+        if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
             break
     core = np.flatnonzero(row_live)
     position = np.cumsum(row_live) - 1
     # columns keyed by descending core entry count, ties by index, for _eliminate's max(row) pivot
-    key = np.argsort(np.argsort(-np.bincount(entries[:, 1], minlength=n), kind="stable"), kind="stable")
-    entries = np.column_stack((position[entries[:, 0]], key[entries[:, 1]], entries[:, 2]))
-    core_rank, core_dependent = _eliminate(_row_dicts(entries, len(core)))
+    key = np.argsort(np.argsort(-np.bincount(cols, minlength=n), kind="stable"), kind="stable")
+    core_rank, core_dependent = _eliminate(_row_dicts(position[rows], key[cols], weights, len(core)))
     return n - len(core) + core_rank, core[core_dependent].tolist()
 
 
@@ -261,7 +266,9 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     elimination in label order would, in any field and without fill-in, so
     the rank and the driver set are unchanged; the peel stops once a round
     drops fewer than 1/PEEL_STOP of the live entries, and only the remaining
-    core is eliminated, rows left empty among them.
+    core is eliminated, rows left empty among them. The coupling matrix is
+    ``g``'s own CSR arrays plus one weight per edge, so no copy of the graph
+    is made.
     """
     rank_value, dependent = _dependent_rows(coupling_matrix(g, weighting=weighting, seed=seed))
     return _report(g, rank_value, dependent, "exact_rank")

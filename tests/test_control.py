@@ -89,10 +89,15 @@ def test_random_weighting_same_sparsity_pattern():
     g = build_layer(LayerSpec(2, 40))
     unit = coupling_matrix(g)
     rand = coupling_matrix(g, weighting="random", seed=5)
-    assert [(r, c) for r, c, _ in unit.entries] == [(r, c) for r, c, _ in rand.entries]
-    assert all(1 <= w < FIELD_PRIME for _, _, w in rand.entries)
+    assert unit.graph is rand.graph is g
+    assert np.array_equal(unit.weights, np.ones(g.num_edges, dtype=np.int64))
+    assert rand.weights.shape == (g.num_edges,) and ((1 <= rand.weights) & (rand.weights < FIELD_PRIME)).all()
     assert rand == coupling_matrix(g, weighting="random", seed=5)
     assert rand != coupling_matrix(g, weighting="random", seed=6)
+    # equal weights on a different graph: another target, then the same positions under other labels
+    one_to_two = coupling_matrix(Digraph({1: (2,), 2: (), 3: ()}))
+    assert one_to_two != coupling_matrix(Digraph({1: (3,), 2: (), 3: ()}))
+    assert one_to_two != coupling_matrix(Digraph({2: (3,), 3: (), 4: ()}))
     with pytest.raises(ValueError):
         coupling_matrix(g, weighting="gaussian")
 
@@ -104,9 +109,10 @@ def test_entries_follow_the_csr_edge_order(graph, weighting):
         g = build_layer(LayerSpec(1, 30))
     else:
         g = generate_static_sf(StaticModelSpec(n=40, gamma=2.5, kbar=2, seed=3))
-    entries = coupling_matrix(g, weighting=weighting, seed=7).entries
-    assert np.array_equal(entries[:, 0], g.indices)
-    assert np.array_equal(entries[:, 1], np.repeat(np.arange(g.num_nodes), g.out_degrees))
+    m = coupling_matrix(g, weighting=weighting, seed=7)
+    assert m.graph is g
+    assert m.weights.shape == (g.num_edges,)
+    assert np.array_equal(m.sources, np.repeat(np.arange(g.num_nodes), g.out_degrees))
 
 
 # sha256 of the (row, column, weight) int64 entries of random-weight coupling
@@ -129,7 +135,8 @@ def test_random_weights_are_pinned(graph, seed):
         g = build_layer(LayerSpec(1, 30))
     else:
         g = generate_static_sf(StaticModelSpec(n=40, gamma=2.5, kbar=2, seed=3))
-    entries = coupling_matrix(g, weighting="random", seed=seed).entries
+    m = coupling_matrix(g, weighting="random", seed=seed)
+    entries = np.column_stack((m.graph.indices, m.sources, m.weights))
     entries = entries[np.lexsort((entries[:, 1], entries[:, 0]))]
     digest = hashlib.sha256(entries.astype("<i8").tobytes()).hexdigest()
     assert digest == RANDOM_WEIGHT_SHA256[graph, seed]
@@ -138,7 +145,7 @@ def test_random_weights_are_pinned(graph, seed):
 @pytest.mark.parametrize("r,n", [(0, 9), (1, 9), (3, 60), (7, 200)])
 def test_layer_coupling_is_strictly_lower_triangular(r, n):
     m = coupling_matrix(build_layer(LayerSpec(r, n)))
-    assert all(row > col for row, col, _ in m.entries)
+    assert (m.graph.indices > m.sources).all()
 
 
 # --- rank -------------------------------------------------------------------

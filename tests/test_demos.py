@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package source."""
+"""Every demo script runs to completion against the package source, and README's examples hold."""
 
 import re
 import subprocess
@@ -9,6 +9,7 @@ import pytest
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 README = Path(__file__).parents[1] / "README.md"
+MODULES = sorted((Path(__file__).parents[1] / "src" / "mcn").glob("*.py"))
 
 
 def test_all_four_demos_found():
@@ -31,3 +32,9 @@ def test_readme_quickstart_prints_what_its_comments_say(tmp_path, mcn_env):
         env=mcn_env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3 (4, 5, 6)\n23\n", "")
+
+
+def test_readme_counts_the_package_lines():
+    (claim,) = re.findall(r"^`src/mcn/` holds (\d+) lines in (\d+) modules\.$", README.read_text(encoding="utf-8"), re.M)
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in MODULES)
+    assert tuple(map(int, claim)) == (lines, len(MODULES))

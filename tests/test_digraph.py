@@ -10,6 +10,7 @@ from mcn import (
     StaticModelSpec,
     generate_static_sf,
     layer_header,
+    min_drivers_exact,
     read_edge_list,
     remove_nodes,
     sf_header,
@@ -216,3 +217,13 @@ def test_subgraph_holds_one_running_sum():
     g = build_layer(LayerSpec(1, 20000))
     keep = np.delete(g.labels, np.arange(0, g.num_nodes, 10))  # 9 of every 10 nodes
     assert _traced_peak(lambda: g.subgraph(keep)) <= 2.75 * 8 * g.num_edges
+
+
+@pytest.mark.parametrize("r, bound", [(1, 4.1), (0, 5.4)])
+def test_exact_rank_holds_no_copy_of_the_graph(r, bound):
+    # the coupling matrix is the graph's own arrays plus one weight per edge: peaks of 3.62 (r = 1)
+    # and 4.92 (r = 0) edge-sized arrays, Python 3.11 and numpy 2.4
+    g = build_layer(LayerSpec(r, 20000))
+    reports = []
+    assert _traced_peak(lambda: reports.append(min_drivers_exact(g))) <= bound * 8 * g.num_edges
+    assert reports[0].n_d == (r or 10000)  # r = 0: the 10,000 odd labels

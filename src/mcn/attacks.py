@@ -30,7 +30,7 @@ from .digraph import Digraph, check_graph_size
 # 0.83 / 0.78 / 0.76 / 0.78 s at 2^15 / 2^16 / 2^17 / 2^18, with tracemalloc
 # peaks of 0.3 / 0.8 / 1.4 / 2.7 / 4.9 MiB (min of 9 runs, Python 3.11, numpy
 # 2.4, shared 2-CPU VM): past 2^16 the peak doubles for no clear gain. A union's
-# whole core goes to Hopcroft-Karp at once, so SF graphs of mean degree 12 peak
+# whole core is matched at once, so SF graphs of mean degree 12 peak
 # at 1.3 / 1.9 / 3.7 / 7.1 / 12.7 MiB on the same scale.
 UNION_SIZE = 1 << 16
 

@@ -16,7 +16,7 @@ Two independent routes to the same quantity:
   incoming side by a maximum matching of the bipartite out/in
   representation, so the count is max(1, n - |matching|). The matching
   peels degree-1 copies in numpy rounds and leaves only the remaining core
-  to Hopcroft-Karp.
+  to ``matching.hopcroft_karp``: Pothen-Fan phases, then Hopcroft-Karp.
 
 On congruence layers both give r drivers, the chain roots r+1..2r; the two
 implementations share no code and serve as cross-checks for each other.
@@ -158,7 +158,7 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 
 # Both peels stop once a round drops fewer than 1/PEEL_STOP of the live edges
 # (coupling-matrix entries, for the rank): a long cascade that sheds an edge or
-# two per round is left to elimination (Hopcroft-Karp).
+# two per round is left to elimination (the core matcher).
 PEEL_STOP = 64
 
 
@@ -290,8 +290,9 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
     rounds, as some maximum matching does (Karp and Sipser, FOCS 1981). The
     smallest edge wins a shared partner, and an edge taken at an out-copy and
     one taken at an in-copy are equal or disjoint, so a round is one matching.
-    Hopcroft-Karp matches the core left once no copy has degree 1 or a round
-    drops under 1/PEEL_STOP of the live edges. On a disjoint union of graphs
+    ``hopcroft_karp`` (Pothen-Fan phases, then Hopcroft-Karp) matches the
+    core left once no copy has degree 1 or a round drops under 1/PEEL_STOP
+    of the live edges. On a disjoint union of graphs
     the result is a maximum matching of each part, though not always the one
     that part would get alone.
     """

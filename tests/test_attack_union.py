@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcn.attacks
+import mcn.control
 from mcn import (
     AttackPoint,
     Digraph,
@@ -134,3 +135,30 @@ def test_edge_free_graph_is_matched_one_survivor_at_a_time():
     one_trial = g.labels.nbytes  # the removed positions alone of a survivor at p = 0.5 take half this
     assert peak < 8 * one_trial
     assert [pt.nd_mean for pt in curve.points] == [1.0] * len(grid)  # every node of an edge-free graph drives
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks on SF graphs (gamma 2.5, kbar 12, seed 0) whose matching
+# leaves a core, 10 % above those of the matcher that ran Hopcroft-Karp alone
+# on the core: an attack curve's unions 3.55 / 3.00 MiB and one matching
+# 0.29 / 1.31 MiB at n = 500 / 2000 (Python 3.11).
+CORE_PEAK_MIB = {500: (3.91, 0.32), 2000: (3.30, 1.44)}
+
+
+@pytest.mark.parametrize("n", sorted(CORE_PEAK_MIB))
+def test_matching_a_core_stays_within_its_memory_bound(n):
+    g = generate_static_sf(StaticModelSpec(n, 2.5, 12, seed=0))
+    rows = np.repeat(np.arange(n, dtype=np.int32), g.out_degrees)
+    assert mcn.control._max_matching(rows, g.indices, n)[1] > 0  # a core is left
+    curve_bound, matching_bound = CORE_PEAK_MIB[n]
+    grid = [0.1 * i for i in range(6)]
+    assert traced_peak(lambda: attack_curve(g, "random", grid, trials=5, seed=1)) < curve_bound * 2**20
+    assert traced_peak(lambda: min_drivers_matching(g)) < matching_bound * 2**20

@@ -16,8 +16,8 @@ _BATCH = 1 << 16  # edges that Digraph.edges() and write_edge_list handle at a t
 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
 # matches 1.0M nodes and 13.0M edges at a 271 MB process peak, about 20 B per node
-# or edge (335 MB at r=0). Reading that layer's edge list peaks at 459 MB, about
-# 34 B per node or edge, and the static-model sampler needs about 90 B (`mcn sf
+# or edge (335 MB at r=0). Reading that layer's edge list peaks at 377 MB, about
+# 28 B per node or edge, and the static-model sampler needs about 90 B (`mcn sf
 # --n 200000 --kbar 13`: 241 MB), so a graph at the budget needs at most 1.4 GB.
 GRAPH_SIZE_BUDGET = 15 * 10**6
 
@@ -39,9 +39,14 @@ def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _outside(labels: np.ndarray, pos: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """True where ``ends`` is not in the sorted ``labels``, given ``pos = labels.searchsorted(ends)``."""
-    return labels.take(pos, mode="clip") != ends if labels.size else np.ones(len(ends), dtype=bool)
+def _positions(labels: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``ends`` in the sorted, distinct ``labels``, and where an end is no label: by
+    subtraction if the labels are ``lo..hi``, as in every layer and static-model graph."""
+    lo, hi = (labels[0], labels[-1]) if labels.size else (1, 0)  # no labels: the empty range 1..0
+    if hi - lo == len(labels) - 1:
+        return ends - lo, (ends < lo) | (ends > hi)
+    pos = labels.searchsorted(ends)
+    return pos, labels.take(pos, mode="clip") != ends
 
 
 class Digraph:
@@ -94,9 +99,10 @@ class Digraph:
             if bad.any():
                 raise ValueError(message.format(*edges[int(np.argmax(bad))].tolist()))  # {0}->{1} is the edge i->j
 
-        reject(_outside(labels, labels.searchsorted(i), i), "edge {0}->{1} starts outside the node set")
-        indices = labels.searchsorted(j)
-        reject(_outside(labels, indices, j), "edge {0}->{1} points outside the node set")
+        reject(_positions(labels, i)[1], "edge {0}->{1} starts outside the node set")
+        indices, outside = _positions(labels, j)
+        reject(outside, "edge {0}->{1} points outside the node set")
+        del outside  # before the edge-sized masks below
         reject(i == j, "self-loop on node {0}")  # both ends are nodes, so equal labels are equal positions
         reject(np.append(False, (i[1:] == i[:-1]) & (j[1:] == j[:-1])), "duplicate edge {0}->{1}")
         return cls._from_csr(labels, np.append(i.searchsorted(labels), len(edges)), indices)
@@ -153,8 +159,8 @@ class Digraph:
     def subgraph(self, keep: Iterable[int] | np.ndarray) -> "Digraph":
         """Induced subgraph on the given node labels."""
         keep = _integers(keep, "node labels")
-        pos = self.labels.searchsorted(keep)
-        unknown = keep[_outside(self.labels, pos, keep)]
+        pos, outside = _positions(self.labels, keep)
+        unknown = keep[outside]
         if unknown.size:
             raise ValueError(f"nodes {unknown[:5].tolist()} are not in the graph")
         mask = np.bincount(pos, minlength=self.num_nodes) > 0
@@ -210,11 +216,20 @@ def write_edge_list(g: Digraph, file: FileOrPath, header: str | None = None) -> 
         if not g.num_edges:
             return
         w = len(str(int(g.labels[-1])))
-        digits = g.labels.astype(f"S{w}").view(np.uint8).reshape(-1, w)  # each label's digits, NUL-padded
-        for sources, targets in g._batches():
-            lines = np.empty((len(sources), 2 * w + 2), np.uint8)
-            lines[:, :w], lines[:, w], lines[:, w + 1:-1], lines[:, -1] = digits[sources], 9, digits[targets], 10
-            fh.write(lines[lines != 0].tobytes().decode("ascii"))
+        digits = np.zeros((g.num_nodes, w), np.uint8)  # each label's digits, right-aligned and NUL-padded
+        x, d = g.labels.copy(), np.empty_like(g.labels)
+        for c in range(w - 1, -1, -1):  # a column at a time, so every temporary is node-sized
+            np.remainder(x, 10, out=d)
+            np.add(d, ord("0"), out=digits[:, c], where=x > 0, casting="unsafe")
+            x //= 10
+        del x, d
+        digits = digits.view(f"V{w}").ravel()
+        line = np.dtype([("i", f"V{w}"), ("tab", "u1"), ("j", f"V{w}"), ("lf", "u1")])
+        for sources, targets in g._batches():  # positions in range, so "clip" only skips a bounds check
+            lines = np.empty(len(sources), line)
+            lines["i"], lines["j"] = digits.take(sources, mode="clip"), digits.take(targets, mode="clip")
+            lines["tab"], lines["lf"] = 9, 10
+            fh.write(lines.tobytes().translate(None, b"\0").decode("ascii"))  # the padding dropped
 
 
 def _header(first: str):
@@ -243,7 +258,8 @@ def _block_values(block: bytes) -> np.ndarray | None:
     Returns None if any line may be anything else, or has a field of more
     than 19 digits or at 2^63-1, where ``np.fromstring`` saturates.
     """
-    block = block.replace(b"\r\n", b"\n")
+    if b"\r" in block:  # a one-byte scan, about 60 times faster than the two-byte search in replace
+        block = block.replace(b"\r\n", b"\n")
     b = np.frombuffer(block, np.uint8)
     seps = np.flatnonzero(b < ord("0"))
     kind, digits = b[seps], np.diff(seps, prepend=-1) - 1  # digits just before each separator

@@ -194,8 +194,25 @@ def test_from_edges_holds_one_position_array():
     g = build_layer(LayerSpec(1, 20000))
     pairs = np.column_stack((np.repeat(g.labels, g.out_degrees), g.labels[g.indices]))  # sorted
     built = []
-    assert _traced_peak(lambda: built.append(Digraph.from_edges(g.labels, pairs))) <= 1.3 * pairs.nbytes
+    assert _traced_peak(lambda: built.append(Digraph.from_edges(g.labels, pairs))) <= 0.85 * pairs.nbytes
     assert built == [g]
+
+
+def test_writer_digit_table_is_uint8_and_node_sized():
+    # 200,000 nodes and 1,000 edges, so the per-node digit table sets the peak: 6 bytes a node,
+    # plus two node-sized int64 arrays and a mask, is 23; an (n, w) int64 table alone takes 48
+    n = 200000
+    g = Digraph.from_edges(np.arange(1, n + 1), np.column_stack((np.arange(1, 1001), np.arange(n - 999, n + 1))))
+
+    class Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    sink = Sink()
+    assert _traced_peak(lambda: write_edge_list(g, sink)) <= 4 * 8 * n
+    assert sink.chars == sum(len(f"{i}\t{j}\n") for i, j in g.edges())
 
 
 def test_line_loop_holds_one_pair_buffer():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcn import Digraph, read_edge_list, sf_header, write_edge_list
+from mcn.digraph import _positions
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -170,3 +171,42 @@ def test_from_edges_in_any_order_gives_the_sorted_graph(succ, data):
         return str(exc.value)
 
     assert message(sorted(bad)) == message(data.draw(st.permutations(bad)))
+
+
+@st.composite
+def label_ranges(draw):
+    """Labels lo..hi with lo > 1, found by subtraction, or the same range less one inner label,
+    found by binary search; some ranges end at 2**63 - 1."""
+    size = draw(st.integers(1, 12))
+    lo = draw(st.one_of(st.integers(2, 10**6), st.just(2**63 - size)))
+    labels = list(range(lo, lo + size))
+    if size > 2 and draw(st.booleans()):
+        labels.remove(draw(st.sampled_from(labels[1:-1])))
+    return labels
+
+
+@SETTINGS
+@given(label_ranges(), st.data())
+def test_positions_by_either_route_match_the_reference(labels, data):
+    succ = {m: tuple(sorted(data.draw(st.sets(st.sampled_from(labels), max_size=6)) - {m})) for m in labels}
+    g, ref = Digraph(succ), RefDigraph(succ)
+    assert_agrees(g, ref)
+    assert g == Digraph.from_edges(labels[::-1], ref.edges()[::-1])
+    keep = data.draw(st.sets(st.sampled_from(labels)))
+    assert_agrees(g.subgraph(keep), ref.subgraph(keep))
+
+    lo, hi = labels[0], labels[-1]
+    gaps = sorted(set(range(lo, hi + 1)) - set(labels))
+    ends = np.array([lo - 1, *labels, *gaps] + ([hi + 1] if hi < 2**63 - 1 else []), dtype=np.int64)
+    pos, outside = _positions(g.labels, ends)
+    assert outside.tolist() == [m not in succ for m in ends.tolist()]
+    assert pos[~outside].tolist() == list(range(len(labels)))
+
+    m = data.draw(st.sampled_from(labels))
+    for i, j, text in [(lo - 1, m, "starts"), (m, lo - 1, "points")] + (
+            [(hi + 1, m, "starts"), (m, hi + 1, "points")] if hi < 2**63 - 1 else []):
+        with pytest.raises(ValueError) as exc:
+            Digraph.from_edges(labels, ref.edges() + [(i, j)])
+        assert str(exc.value) == f"edge {i}->{j} {text} outside the node set"
+    with pytest.raises(ValueError, match=r"^nodes \[%d\] are not in the graph$" % (lo - 1)):
+        g.subgraph([*keep, lo - 1])

@@ -259,3 +259,20 @@ def test_writer_matches_one_line_per_edge(tmp_path_factory, g, header, batch):
         write_edge_list(g, str(path), header=header)
     assert buf.getvalue() == expected
     assert path.read_bytes() == expected.encode("ascii")
+
+
+# 1, 9, 10, 99, 100, ..., 10**18 - 1, 10**18 and 2**63 - 1: each side of every digit-count step
+DIGIT_BOUNDARIES = sorted({1, *(10**k + d for k in range(1, 19) for d in (-1, 0)), 2**63 - 1})
+
+
+@pytest.mark.parametrize("width", range(1, 20))
+def test_writer_at_every_digit_count_boundary(width):
+    # the widest label has width digits, so the digit table is width columns wide
+    labels = [m for m in DIGIT_BOUNDARIES if len(str(m)) <= width]
+    g = Digraph({m: tuple(j for j in labels if j != m) for m in labels})
+    for batch in (1, 7, 64):
+        buf = io.StringIO()
+        with mock.patch.object(digraph, "_BATCH", batch):
+            write_edge_list(g, buf)
+        assert buf.getvalue() == reference_text(g)
+    assert read_edge_list(io.StringIO(buf.getvalue())) == g

@@ -18,6 +18,10 @@ Two independent routes to the same quantity:
   peels degree-1 copies in numpy rounds and leaves only the remaining core
   to ``matching.hopcroft_karp``: Pothen-Fan phases, then Hopcroft-Karp.
 
+Both routes peel singletons first. Their live edges keep the graph's CSR
+order, so each round reads an out-copy's degree, and a column's first live
+row, from where runs of equal sources begin and end.
+
 On congruence layers both give r drivers, the chain roots r+1..2r; the two
 implementations share no code and serve as cross-checks for each other.
 """
@@ -162,6 +166,14 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[int]]:
 PEEL_STOP = 64
 
 
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``a`` starts."""
+    heads = np.empty(len(a), dtype=bool)
+    heads[:1] = True
+    np.not_equal(a[1:], a[:-1], out=heads[1:])
+    return heads
+
+
 def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     """Rank of ``m`` and its ascending dependent rows, as ``_eliminate`` finds them.
 
@@ -170,7 +182,8 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     rounds over the live (not yet peeled) rows and columns, without any
     arithmetic. The live entries are three 1-D arrays, rows, columns and
     weights, starting as ``m.graph.indices``, ``m.sources`` and
-    ``m.weights`` and filtered by one mask per round:
+    ``m.weights`` and filtered by one mask per round, so they stay sorted by
+    (column, row) and each column's live entries are one run of columns:
 
     * a row that is the only live one in some column lies outside the span
       of all other rows, so it is independent;
@@ -190,11 +203,9 @@ def _dependent_rows(m: CouplingMatrix) -> tuple[int, list[int]]:
     col_live = np.ones(n, dtype=bool)
     rows, cols, weights = m.graph.indices, m.sources, m.weights
     while len(rows):
-        row_count = np.bincount(rows, minlength=n)
-        first = np.full(n, n, dtype=np.int64)
-        np.minimum.at(first, cols, rows)
-        only_in_col = np.bincount(cols, minlength=n)[cols] == 1
-        lone = (row_count[rows] == 1) & (first[cols] == rows)
+        first = _run_heads(cols)  # the first live row of its column
+        only_in_col = first & np.append(first[1:], True)  # first and last
+        lone = (np.bincount(rows, minlength=n)[rows] == 1) & first
         row_live[rows[only_in_col | lone]] = False
         col_live[cols[lone]] = False
         keep = row_live[rows] & col_live[cols]
@@ -274,14 +285,6 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     return _report(g, rank_value, dependent, "exact_rank")
 
 
-def _pick_lone(pick: np.ndarray, side: np.ndarray, partner: np.ndarray) -> None:
-    """Lower ``pick[p]`` to the smallest edge to partner ``p`` whose ``side`` end has one live edge."""
-    degree = np.zeros(len(pick), dtype=np.int64)
-    np.add.at(degree, side, 1)  # bincount would copy an int32 side to int64
-    e = np.flatnonzero((degree == 1)[side])
-    np.minimum.at(pick, partner[e], e)
-
-
 def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the core's edge count.
 
@@ -290,6 +293,9 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
     rounds, as some maximum matching does (Karp and Sipser, FOCS 1981). The
     smallest edge wins a shared partner, and an edge taken at an out-copy and
     one taken at an in-copy are equal or disjoint, so a round is one matching.
+    The live edges keep their order, so each out-copy's are one run of
+    ``rows``: a lone out-copy is a run of length 1, and an out-copy's smallest
+    edge to a lone in-copy is the first such edge of its run.
     ``hopcroft_karp`` (Pothen-Fan phases, then Hopcroft-Karp) matches the
     core left once no copy has degree 1 or a round drops under 1/PEEL_STOP
     of the live edges. On a disjoint union of graphs
@@ -297,20 +303,24 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
     that part would get alone.
     """
     match = np.full(n, -1, dtype=np.int32)
+    free_in = np.ones(n, dtype=bool)  # in-copies not matched so far
     unused = np.ones(n, dtype=bool)  # out-copies not matched so far
     while len(rows):
-        pick = np.full(2 * n, len(rows))  # per in-copy, then per out-copy
-        _pick_lone(pick[:n], rows, cols)
-        _pick_lone(pick[n:], cols, rows)
-        chosen = pick[pick < len(rows)]
-        match[cols[chosen]] = rows[chosen]
-        unused[rows[chosen]] = False
-        keep = (match < 0)[cols] & unused[rows]  # edges between two unmatched copies
+        heads = _run_heads(rows)
+        lone_out = np.flatnonzero(heads & np.append(heads[1:], True))
+        lone_out = lone_out[np.unique(cols[lone_out], return_index=True)[1]]  # the smallest edge per in-copy
+        lone_in = np.flatnonzero((np.bincount(cols, minlength=n) == 1)[cols])
+        lone_in = lone_in[_run_heads(rows[lone_in])]  # the smallest edge per out-copy
+        for chosen in (lone_out, lone_in):
+            match[cols[chosen]] = rows[chosen]
+            free_in[cols[chosen]] = False
+            unused[rows[chosen]] = False
+        keep = free_in[cols] & unused[rows]  # edges between two unmatched copies
         rows = rows[keep]
         cols = cols[keep]
         if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
             break
-    heads = np.flatnonzero(np.diff(rows, prepend=-1))  # first core edge of each core out-copy
+    heads = np.flatnonzero(_run_heads(rows))  # first core edge of each core out-copy
     bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
     match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
     match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]

@@ -16,7 +16,7 @@ _BATCH = 1 << 16  # edges that Digraph.edges() and write_edge_list handle at a t
 
 # Nodes plus edges one graph may hold. `mcn control --r 1 --n 1000000` builds and
 # matches 1.0M nodes and 13.0M edges at a 271 MB process peak, about 20 B per node
-# or edge (335 MB at r=0). Reading that layer's edge list peaks at 377 MB, about
+# or edge (335 MB at r=0). Reading that layer's edge list peaks at 370 MB, about
 # 28 B per node or edge, and the static-model sampler needs about 90 B (`mcn sf
 # --n 200000 --kbar 13`: 241 MB), so a graph at the budget needs at most 1.4 GB.
 GRAPH_SIZE_BUDGET = 15 * 10**6
@@ -36,6 +36,8 @@ def _integers(values: Iterable[int] | np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be 64-bit integers, not {a.dtype}")
+    if a.dtype == np.uint64 and a.size and a.max() >> 63:  # would wrap to a negative int64
+        raise ValueError(f"{what} must be below 2^63, got {a.max()}")
     return a.astype(np.int64, copy=False)
 
 
@@ -192,10 +194,20 @@ _MCN_HEADER = re.compile(r"^# mcn r=(\d+) n=(\d+)\s*$")
 _SF_HEADER = re.compile(r"^# sf gamma=(\S+) n=(\d+) seed=(\d+)\s*$")
 
 # Bytes of the body read_edge_list parses at a time, extended to the next line
-# end. A block's temporaries come to a few times its size; 2^18-byte blocks left
-# the heap fragmented enough to lift the layers benchmark's process peak 2-4 MB.
+# end. A block's temporaries come to about 18 times its size, 8 of them the words
+# that take copies; 2^18-byte blocks left the heap fragmented enough to lift the
+# layers benchmark's process peak 2-4 MB.
 _BLOCK = 1 << 16
-_INT64_MAX = np.iinfo(np.int64).max
+
+# A field of d <= 8 digits is the d high bytes of the little-endian 8-byte word
+# that ends where the field ends, most significant digit at the lowest address.
+# _DIGIT_MASKS[d] keeps the low nibbles of those bytes, the digits. Each of the
+# three _FOLDS then adds every lane (of 1, 2, then 4 digits) to 10, 100 or 10^4
+# times the lane before it, and keeps every other sum in a lane twice as wide:
+# a word at a time (SWAR), the 8 digits become the field's value.
+_DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F >> 8 * (8 - d) << 8 * (8 - d) for d in range(9)], np.uint64)
+_LANES = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)  # kept before the second and third fold
+_FOLDS = tuple((np.uint64(10**w << 8 * w | 1), np.uint64(8 * w)) for w in (1, 2, 4))  # (multiplier, shift)
 
 FileOrPath = Union[str, "IO[str]"]
 
@@ -244,30 +256,51 @@ def _header(first: str):
     if m := _MCN_HEADER.match(first):
         r, n = int(m.group(1)), int(m.group(2))
         check_graph_size(n - r)
-        return first, np.arange(r + 1, n + 1), lambda i, j: (r < i) & (i < j) & (j <= n) & (j % (i | (i < 1)) == r)
+        return first, range(r + 1, n + 1), lambda i, j: (r < i) & (i < j) & (j <= n) & (j % (i | (i < 1)) == r)
     if m := _SF_HEADER.match(first):
         n = int(m.group(2))
         check_graph_size(n)
-        return first, np.arange(1, n + 1), lambda i, j: (1 <= i) & (i <= n) & (1 <= j) & (j <= n)
+        return first, range(1, n + 1), lambda i, j: (1 <= i) & (i <= n) & (1 <= j) & (j <= n)
     return None, None, None
 
 
-def _block_values(block: bytes) -> np.ndarray | None:
-    """The integers of ``block``, "i<TAB>j" lines each ended by LF or CRLF.
+def _field_values(words: np.ndarray, ends: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """uint64 values of the fields of ``digits`` digits (at most 8 are read) that end with ``words[ends]``."""
+    values = words.take(ends)  # take copies the strided words first, 8 bytes per byte of the block
+    for mask, (multiplier, shift) in zip((_DIGIT_MASKS.take(digits, mode="clip"), *_LANES), _FOLDS):
+        values &= mask
+        values *= multiplier
+        values >>= shift
+    return values
 
-    Returns None if any line may be anything else, or has a field of more
-    than 19 digits or at 2^63-1, where ``np.fromstring`` saturates.
+
+def _block_values(window: bytes) -> np.ndarray | None:
+    """The integers of ``window[8:]``, "i<TAB>j" lines each ended by LF or CRLF.
+
+    ``window[:8]`` may be any bytes. The field that ends before byte ``s`` of
+    the block is the 8-byte word ``window[s:s + 8]``, and a field of 9 to 19
+    digits adds the words 8 and 16 bytes before it. Returns None if any line
+    may be anything else, or has a field of more than 19 digits or above 2^63-1.
     """
-    if b"\r" in block:  # a one-byte scan, about 60 times faster than the two-byte search in replace
-        block = block.replace(b"\r\n", b"\n")
-    b = np.frombuffer(block, np.uint8)
+    if window.find(b"\r", 8) >= 0:  # a one-byte scan, about 60 times faster than the two-byte search in replace
+        window = bytes(8) + window[8:].replace(b"\r\n", b"\n")
+    b = np.frombuffer(window, np.uint8, offset=8)
     seps = np.flatnonzero(b < ord("0"))
-    kind, digits = b[seps], np.diff(seps, prepend=-1) - 1  # digits just before each separator
-    if (b.max() > ord("9") or (kind[0::2] != 9).any() or (kind[1::2] != 10).any()
-            or digits.min() < 1 or digits.max() > 19):
+    digits = np.empty_like(seps)  # digits just before each separator
+    digits[:1] = seps[:1]
+    np.subtract(seps[1:], seps[:-1] + 1, out=digits[1:])
+    if len(seps) % 2 or b.max() > ord("9") or (b[seps].view("<u2") != 0x0A09).any():  # TAB, then LF
         return None
-    values = np.fromstring(block, dtype=np.int64, sep=" ")
-    return None if (values == _INT64_MAX).any() else values
+    fewest, most = digits.min(), digits.max()
+    if fewest < 1 or most > 19:
+        return None
+    words = np.ndarray(len(window) - 7, "<u8", window, strides=1)  # words[s] ends before byte s of the block
+    values = _field_values(words, seps, digits)
+    for k in range(1, (most + 7) // 8):  # the 8 digits before, in fields of more than 8 k digits
+        long = np.flatnonzero(digits > 8 * k)
+        values[long] += _field_values(words, seps[long] - 8 * k, digits[long] - 8 * k) * np.uint64(10 ** (8 * k))
+    values = values.view(np.int64)  # at most 10^19 - 1, so a value above 2^63 - 1 is negative here
+    return None if most == 19 and values.min() < 0 else values
 
 
 def _read_blocks(data: bytes):
@@ -285,7 +318,10 @@ def _read_blocks(data: bytes):
     flat, filled = edges.reshape(-1), 0
     while body < len(data):
         end = data.find(b"\n", body + _BLOCK - 1) + 1 or len(data)
-        values = _block_values(data[body:end] if data[end - 1] == 10 else data[body:] + b"\n")
+        lead = max(0, body - 8)  # the 8 bytes before the block, zeros before byte 0
+        # bytes + b"" is the bytes itself, so only a first block at byte 0 or a last one without LF is copied twice
+        window = bytes(8 - body + lead) + data[lead:end] + (b"" if data[end - 1] == 10 else b"\n")
+        values = _block_values(window)
         if values is None or fits is not None and not fits(values[0::2], values[1::2]).all():
             return None
         flat[filled:filled + len(values)] = values
@@ -338,4 +374,4 @@ def read_edge_list(file: FileOrPath) -> Digraph:
         parsed = _read_lines(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors))
     del data  # before the graph's arrays are built
     nodes, edges = parsed
-    return Digraph.from_edges(np.ravel(edges) if nodes is None else nodes, edges)
+    return Digraph.from_edges(np.ravel(edges) if nodes is None else np.arange(nodes.start, nodes.stop), edges)

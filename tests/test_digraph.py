@@ -1,6 +1,7 @@
 import io
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from mcn import (
     sf_header,
     write_edge_list,
 )
-from mcn.digraph import _BATCH, _read_lines
+from mcn import digraph
+from mcn.digraph import _BATCH, _BLOCK, _read_blocks, _read_lines
 from mcn.layers import LayerSpec, build_layer
 
 
@@ -69,6 +71,17 @@ def test_from_edges_rejects_duplicates():
         with pytest.raises(ValueError) as exc:
             Digraph.from_edges(nodes, edges)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("nodes, edges, message", [
+    (np.array([1, 2]), np.array([[1, 2**63 + 1]], np.uint64), "edge endpoints must be below 2^63, got 9223372036854775809"),
+    (np.array([2**64 - 1], np.uint64), [], "node labels must be below 2^63, got 18446744073709551615"),
+])
+def test_from_edges_refuses_uint64_values_past_int64(nodes, edges, message):
+    # cast to int64, they would wrap to negative labels and endpoints
+    with pytest.raises(ValueError) as exc:
+        Digraph.from_edges(nodes, edges)
+    assert str(exc.value) == message
 
 
 def test_subgraph_induced():
@@ -213,6 +226,20 @@ def test_writer_digit_table_is_uint8_and_node_sized():
     sink = Sink()
     assert _traced_peak(lambda: write_edge_list(g, sink)) <= 4 * 8 * n
     assert sink.chars == sum(len(f"{i}\t{j}\n") for i, j in g.edges())
+
+
+@pytest.mark.parametrize("block", [1 << 14, _BLOCK])
+def test_block_reader_holds_one_block_of_temporaries(block):
+    # r = 1, N = 5e4: a 4.8 MB file. Beyond the (E, 2) edges, one block's temporaries peak at about
+    # 18 blocks: the word view that take copies, 8 bytes per byte, and five or six field-sized arrays
+    g = build_layer(LayerSpec(1, 50000))
+    buf = io.StringIO()
+    write_edge_list(g, buf, header=layer_header(1, 50000))
+    data, parsed = buf.getvalue().encode("ascii"), []
+    with mock.patch.object(digraph, "_BLOCK", block):
+        assert _traced_peak(lambda: parsed.append(_read_blocks(data))) <= 16 * g.num_edges + 24 * block
+    nodes, edges = parsed[0]
+    assert Digraph.from_edges(np.arange(nodes.start, nodes.stop), edges) == g
 
 
 def test_line_loop_holds_one_pair_buffer():

@@ -79,7 +79,8 @@ def sf_bodies(draw):
     return sf_header(2.5, n, 1), sorted((i, j) for i, j in pairs if i != j)
 
 
-BIG = [2**63 - 1, 2**63, 2**64, 10**19, 10**23, 99999999999999999999]
+# fields of 8, 9, 16, 17 and 19 digits, each side of the int64 bound, and past 19 digits
+BIG = [10**7, 10**8, 10**15, 10**16, 10**18, 2**63 - 1, 2**63, 2**64, 10**19, 10**23, 99999999999999999999]
 NON_ASCII_DIGITS = ["٣", "３", "৩"]  # Arabic-Indic, fullwidth and Bengali three
 
 
@@ -275,4 +276,30 @@ def test_writer_at_every_digit_count_boundary(width):
         with mock.patch.object(digraph, "_BATCH", batch):
             write_edge_list(g, buf)
         assert buf.getvalue() == reference_text(g)
-    assert read_edge_list(io.StringIO(buf.getvalue())) == g
+    # read back without a header, so a field starts at byte 0; 1-byte blocks start one at every line
+    for end in ("\n", "\r\n"):
+        for block in (1, 5, 4096, digraph._BLOCK):
+            with mock.patch.object(digraph, "_BLOCK", block), \
+                    mock.patch.object(digraph, "_read_lines", side_effect=AssertionError("line loop")):
+                assert read_edge_list(io.StringIO(buf.getvalue().replace("\n", end))) == g
+
+
+@pytest.mark.parametrize("lead", [bytes(8), b"\xff" * 8, b"99999999", b"7\r\n12\t34"])
+def test_block_values_ignore_the_bytes_before_the_block(lead):
+    for end in (b"\n", b"\r\n"):
+        body = b"".join(b"%d\t%d%s" % (m, m, end) for m in DIGIT_BOUNDARIES)
+        assert digraph._block_values(lead + body).tolist() == [m for m in DIGIT_BOUNDARIES for _ in (0, 1)]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("lines", [0, 9000])  # in the first 64 KiB block, or in a later one
+def test_int64_bound_is_the_line_loops(lines, end):
+    head = "".join(f"{i}\t{i + 1}{end}" for i in range(1, lines + 1))
+    text = f"{head}1\t{2**63 - 1}{end}"
+    with mock.patch.object(digraph, "_read_lines", side_effect=AssertionError("line loop")):
+        g = read_edge_list(io.StringIO(text))
+    assert g == reference_read(io.StringIO(text)) and g.labels[-1] == 2**63 - 1
+    for big in (2**63, 10**19 - 1):  # 19 digits, above 2^63 - 1
+        line = f"1\t{big}"
+        message = f"ValueError: line {lines + 1}: malformed edge-list line: {line!r}"
+        assert outcome(read_edge_list, io.StringIO(f"{head}{line}{end}")) == message

@@ -10,14 +10,19 @@ On a disjoint union of graphs it is maximum on every block, which is what
 attack curves rely on when they match their trials' survivors together.
 """
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcn.attacks
+import mcn.control
 from mcn import Digraph, LayerSpec, StaticModelSpec, build_layer, generate_static_sf, min_drivers_matching
-from mcn.attacks import remove_nodes
-from mcn.control import _max_matching
+from mcn.attacks import _free_in_copies, remove_nodes
+from mcn.control import PEEL_STOP, _max_matching
 from mcn.matching import hopcroft_karp
 from test_peeling import cascade, digraphs
 
@@ -169,3 +174,83 @@ def test_layers_drive_from_their_roots(r, n):
     report, core = assert_maximum_matching_drivers(build_layer(LayerSpec(r, n)))
     assert core == 0
     assert report.drivers == tuple(range(r + 1, 2 * r + 1))
+
+
+# --- the peel rounds against a plain statement of the round rule ----------------
+
+
+def reference_peel(rows, cols, n):
+    """Oracle: the peel's rounds edge by edge in Python ints; the peeled ``match`` and the core edges.
+
+    In a round, an out-copy with one live edge takes it at its in-copy, and an
+    in-copy with one live edge takes it at its out-copy; the smallest edge wins
+    a shared partner. The edges at a matched copy are then dropped, and the
+    rounds stop when no edge is left or a round drops under 1/PEEL_STOP of them.
+    """
+    edges, match = list(zip(rows.tolist(), cols.tolist())), [-1] * n
+    while edges:
+        out_degree, in_degree = Counter(u for u, _ in edges), Counter(v for _, v in edges)
+        at_in, at_out = {}, {}  # in-copy -> edge, out-copy -> edge
+        for u, v in edges:  # ascending, so the first edge set wins
+            if out_degree[u] == 1:
+                at_in.setdefault(v, (u, v))
+            if in_degree[v] == 1:
+                at_out.setdefault(u, (u, v))
+        taken = {*at_in.values(), *at_out.values()}
+        for u, v in taken:
+            match[v] = u
+        used = {u for u, _ in taken}
+        live = [(u, v) for u, v in edges if match[v] < 0 and u not in used]
+        dropped, edges = len(edges) - len(live), live
+        if dropped * PEEL_STOP < dropped + len(live):
+            break
+    return match, edges
+
+
+def assert_rounds_follow_the_rule(rows, cols, n):
+    """``_max_matching`` peels as ``reference_peel`` does and hands the core's edges to the core matcher."""
+    cores = []
+
+    def core_matcher(adj, num_right):
+        cores.append(adj)
+        return hopcroft_karp(adj, num_right)
+
+    with mock.patch.object(mcn.control, "hopcroft_karp", core_matcher):
+        match, core_edges = _max_matching(rows, cols, n)
+    expected, core = reference_peel(rows, cols, n)
+    heads = sorted({u for u, _ in core})
+    assert cores == [[[v for u, v in core if u == h] for h in heads]]
+    assert core_edges == len(core)
+    for k, v in enumerate(hopcroft_karp(cores[0], n)[0]):  # the in-copy matched to each core out-copy
+        if v >= 0:
+            expected[v] = heads[k]  # an in-copy matched in the core was free after the peel
+    assert match.tolist() == expected
+
+
+@SETTINGS
+@given(digraphs())
+def test_peel_rounds_follow_the_rule(g):
+    assert_rounds_follow_the_rule(*edge_arrays(g), g.num_nodes)
+
+
+@SETTINGS
+@given(digraphs(max_nodes=20), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_peel_rounds_follow_the_rule_on_attack_unions(g, blocks, seed):
+    # the survivors of several trials, nodes removed at random, as one disjoint union
+    keep = np.random.default_rng(seed).random((blocks, g.num_nodes)) < 0.8
+    calls = []
+
+    def recording(rows, cols, n):
+        calls.append((rows.copy(), cols.copy(), n))
+        return _max_matching(rows, cols, n)
+
+    with mock.patch.object(mcn.attacks, "_max_matching", recording):
+        _free_in_copies(g, keep)
+    (union,) = calls
+    assert_rounds_follow_the_rule(*union)
+
+
+def test_peel_rounds_follow_the_rule_on_graphs_with_a_core():
+    for name in ("blocks 2x3 3x3 4x2", "sf n=2000 kbar=8", "cascade n=3000"):
+        g = CORE_GRAPHS[name]()
+        assert_rounds_follow_the_rule(*edge_arrays(g), g.num_nodes)

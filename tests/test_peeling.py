@@ -33,6 +33,15 @@ def digraphs(draw, max_nodes=40):
     return Digraph.from_edges(range(1, n + 1), list(zip((sources + 1).tolist(), (targets + 1).tolist())))
 
 
+@st.composite
+def tied_digraphs(draw, max_nodes=30):
+    """A digraph on labels 1..n whose nodes take their successors from a few shared sets, so many
+    coupling-matrix columns repeat or overlap and share their first rows."""
+    n = draw(st.integers(2, max_nodes))
+    shared = draw(st.lists(st.sets(st.integers(1, n), max_size=6), min_size=1, max_size=4))
+    return Digraph({m: tuple(sorted(draw(st.sampled_from(shared)) - {m})) for m in range(1, n + 1)})
+
+
 def reference(g, weighting="unit", seed=0):
     """Oracle: elimination of every row, with no peeling."""
     return _eliminate(coupling_matrix(g, weighting=weighting, seed=seed).rows())
@@ -151,13 +160,13 @@ def test_static_sf_n2000_finishes():
 
 
 @SETTINGS
-@given(digraphs())
+@given(st.one_of(digraphs(), tied_digraphs()))
 def test_unit_weights_match_leftmost_pivots(g):
     assert_matches_leftmost(g)
 
 
 @SETTINGS
-@given(digraphs(), st.integers(0, 2**32 - 1))
+@given(st.one_of(digraphs(), tied_digraphs()), st.integers(0, 2**32 - 1))
 def test_random_weights_match_leftmost_pivots(g, seed):
     assert_matches_leftmost(g, weighting="random", seed=seed)
 
@@ -171,3 +180,4 @@ def test_static_sf_cores_match_leftmost_pivots(n, kbar, gamma, weighting, seed):
     # the oracle eliminates all n rows unpeeled, about a second each at n=350
     g = generate_static_sf(StaticModelSpec(n, gamma, kbar, seed=seed))
     assert_matches_leftmost(g, weighting=weighting, seed=seed)
+

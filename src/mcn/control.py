@@ -16,7 +16,8 @@ Two independent routes to the same quantity:
   incoming side by a maximum matching of the bipartite out/in
   representation, so the count is max(1, n - |matching|). The matching
   peels degree-1 copies in numpy rounds and leaves only the remaining core
-  to ``matching.hopcroft_karp``: Pothen-Fan phases, then Hopcroft-Karp.
+  to a matcher: ``matching.hopcroft_karp`` (Pothen-Fan phases) on small
+  cores, scipy's compiled ``maximum_bipartite_matching`` on large ones.
 
 Both routes peel singletons first. Their live edges keep the graph's CSR
 order, so each round reads an out-copy's degree, and a column's first live
@@ -285,6 +286,16 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     return _report(g, rank_value, dependent, "exact_rank")
 
 
+# Cores of more than SCIPY_CORE_EDGES edges go to scipy's compiled matcher.
+# The constant is the parity point, where Pothen-Fan alone costs as much as
+# scipy's import plus its call, about 0.25 s. Timed in fresh processes on SF
+# cores (gamma 2.5, seed 0, kbar 8-16; a shared 2-CPU Xeon, Python 3.11,
+# scipy 1.17), Pothen-Fan reaches that cost between 1.1e5 and 3.2e5 core
+# edges, sooner where augmenting paths are long; above 2^17 it took up to
+# 1.5 s (n=7e4, kbar 9: 169,396 edges), scipy at most 0.47 s.
+SCIPY_CORE_EDGES = 1 << 17
+
+
 def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """``match[v]``, the out-copy matched to in-copy ``v`` or -1, and the core's edge count.
 
@@ -296,9 +307,11 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
     The live edges keep their order, so each out-copy's are one run of
     ``rows``: a lone out-copy is a run of length 1, and an out-copy's smallest
     edge to a lone in-copy is the first such edge of its run.
-    ``hopcroft_karp`` (Pothen-Fan phases, then Hopcroft-Karp) matches the
-    core left once no copy has degree 1 or a round drops under 1/PEEL_STOP
-    of the live edges. On a disjoint union of graphs
+    The core left once no copy has degree 1 or a round drops under
+    1/PEEL_STOP of the live edges is matched by ``hopcroft_karp`` (Pothen-Fan
+    phases) up to SCIPY_CORE_EDGES edges, and above that by one call to
+    scipy's ``maximum_bipartite_matching`` on the core's CSR arrays, imported
+    only then. On a disjoint union of graphs
     the result is a maximum matching of each part, though not always the one
     that part would get alone.
     """
@@ -321,8 +334,15 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
         if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
             break
     heads = np.flatnonzero(_run_heads(rows))  # first core edge of each core out-copy
-    bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
-    match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
+    if len(rows) > SCIPY_CORE_EDGES:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        core = csr_array((np.ones(len(cols), dtype=np.int8), cols, np.append(heads, len(rows))), shape=(len(heads), n))
+        match_l = maximum_bipartite_matching(core, perm_type="column")
+    else:
+        bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
+        match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
     match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]
     return match, len(rows)
 

@@ -103,7 +103,7 @@ def test_union_drivers_match_subgraphs_on_layers(r, strategy):
 @pytest.mark.parametrize("strategy", ["random", "targeted"])
 @pytest.mark.parametrize("kbar", [8, 12])
 def test_union_drivers_match_subgraphs_on_sf_graphs_with_cores(kbar, strategy):
-    # these keep a core after the degree-1 peel, which Hopcroft-Karp matches for all blocks at once
+    # these keep a core after the degree-1 peel, which the Pothen-Fan phases match for all blocks at once
     g = generate_static_sf(StaticModelSpec(n=2000, gamma=2.5, kbar=kbar, seed=1))
     assert_trials_match_subgraphs(g, strategy, grid=[0.0, 0.05, 0.2], trials=2)
 

@@ -1,13 +1,16 @@
-"""Matching drivers: Hopcroft-Karp's matching size, and drivers that a maximum matching leaves free.
+"""Matching drivers: the maximum matching size, and drivers that a maximum matching leaves free.
 
 Maximum matchings are not unique, so the driver set is checked for what any
-valid one must satisfy: ``n_d`` is ``n`` minus the size Hopcroft-Karp finds on
-the whole graph, and the drivers are exactly the in-copies left free by some
-maximum matching, which holds iff every other in-copy can be matched at once.
+valid one must satisfy: ``n_d`` is ``n`` minus the size the Pothen-Fan
+phases of ``hopcroft_karp`` find on the whole graph, and the drivers are
+exactly the in-copies left free by some maximum matching, which holds iff
+every other in-copy can be matched at once.
 The matching ``_max_matching`` returns is checked itself: every pair is an
 edge, no copy is used twice, and its free in-copies are the printed drivers.
 On a disjoint union of graphs it is maximum on every block, which is what
 attack curves rely on when they match their trials' survivors together.
+The properties run once more with scipy matching every core, which it does
+only above ``SCIPY_CORE_EDGES`` core edges otherwise.
 """
 
 from collections import Counter
@@ -22,11 +25,19 @@ import mcn.attacks
 import mcn.control
 from mcn import Digraph, LayerSpec, StaticModelSpec, build_layer, generate_static_sf, min_drivers_matching
 from mcn.attacks import _free_in_copies, remove_nodes
-from mcn.control import PEEL_STOP, _max_matching
+from mcn.control import PEEL_STOP, SCIPY_CORE_EDGES, _max_matching
 from mcn.matching import hopcroft_karp
 from test_peeling import cascade, digraphs
 
 SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def scipy_on_every_core():
+    return mock.patch.object(mcn.control, "SCIPY_CORE_EDGES", 0)
+
+
+def pothen_fan_on_every_core():
+    return mock.patch.object(mcn.control, "SCIPY_CORE_EDGES", 1 << 62)
 
 
 def adjacency(g, drop=()):
@@ -89,8 +100,13 @@ def test_drivers_are_free_in_a_maximum_matching(g):
 
 
 @SETTINGS
-@given(st.lists(digraphs(), min_size=1, max_size=7))
-def test_a_union_is_matched_maximally_on_every_block(graphs):
+@given(digraphs())
+def test_drivers_are_free_in_a_maximum_matching_by_scipy(g):
+    with scipy_on_every_core():
+        assert_maximum_matching_drivers(g)
+
+
+def assert_union_matched_maximally_on_every_block(graphs):
     # the graphs stacked as blocks, block b's positions shifted by the nodes of the blocks before it
     starts = np.cumsum([0] + [g.num_nodes for g in graphs])
     n = int(starts[-1])
@@ -104,6 +120,19 @@ def test_a_union_is_matched_maximally_on_every_block(graphs):
     assert set((u * n + v).tolist()) <= set((rows * n + cols).tolist())  # every pair is an edge of its own block
     for g, a, b in zip(graphs, starts, starts[1:]):
         assert np.count_nonzero(match[a:b] < 0) == g.num_nodes - matching_size(adjacency(g), g.num_nodes)
+
+
+@SETTINGS
+@given(st.lists(digraphs(), min_size=1, max_size=7))
+def test_a_union_is_matched_maximally_on_every_block(graphs):
+    assert_union_matched_maximally_on_every_block(graphs)
+
+
+@SETTINGS
+@given(st.lists(digraphs(), min_size=1, max_size=7))
+def test_a_union_is_matched_maximally_on_every_block_by_scipy(graphs):
+    with scipy_on_every_core():
+        assert_union_matched_maximally_on_every_block(graphs)
 
 
 def attacked(g, strategy, p):
@@ -159,6 +188,21 @@ CORE_GRAPHS = {
 def test_graphs_with_a_core(name):
     _, core = assert_maximum_matching_drivers(CORE_GRAPHS[name]())
     assert core > 0
+
+
+def test_a_core_above_the_threshold_is_matched_by_scipy():
+    g = generate_static_sf(StaticModelSpec(n=30000, gamma=2.5, kbar=12, seed=0))  # a core of 248,401 edges
+    with pothen_fan_on_every_core():
+        reference = min_drivers_matching(g)
+    report = min_drivers_matching(g)
+    assert (report.rank, report.n_d) == (reference.rank, reference.n_d)
+    assert assert_valid_matching(g, report.rank) > SCIPY_CORE_EDGES
+    # the other in-copies can all be matched together, here by the Pothen-Fan route
+    rows, cols = edge_arrays(g)
+    kept = ~np.isin(cols, np.searchsorted(g.labels, report.drivers))
+    with pothen_fan_on_every_core():
+        match, _ = _max_matching(rows[kept], cols[kept], g.num_nodes)
+    assert np.count_nonzero(match >= 0) == report.rank
 
 
 def test_bidirected_cycle_and_blocks_match_perfectly_or_by_the_smaller_side():

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from .attacks import StaticModelSpec, attack_curve, generate_static_sf
 from .control import min_drivers_exact, min_drivers_matching
 from .crt import CongruenceSystem, NonCoprimeModuliError, solve_garner, solve_graphical
-from .digraph import Digraph, layer_header, read_edge_list, sf_header, write_edge_list
+from .digraph import Digraph, check_graph_size, layer_header, read_edge_list, sf_header, write_edge_list
 from .layers import (
     LayerSpec,
     build_layer,
@@ -27,11 +27,13 @@ from .layers import (
     write_histogram_csv,
 )
 
-# Matchings one `mcn attack` may run, one per grid point and trial. At
-# --r 1 --n 50, where about 300 survivors share one union, a point costs about
-# 40 us (2,001 targeted points in 0.21-0.30 s, 20,001 in 0.72-0.94 s, start-up
-# included), so the budget is about 4 s there, more on bigger graphs.
-ATTACK_MATCHING_BUDGET = 10**5
+# Work one `mcn attack` may do: (steps+1) x trials x (nodes + edges), one
+# trial per targeted point. `attack_curve` took 8-37 ns per unit on layers
+# (r = 0-3, N = 2e3-1e6), 50-170 ns on SF graphs (gamma 2.5, kbar 8-12,
+# n = 2e3-1e5), 250-460 ns at --r 1 --n 50 and up to 530 ns where the peel
+# leaves a core for Pothen-Fan phases (SF n = 7e3-5e4, kbar 9-12; a shared
+# 2-CPU Xeon, Python 3.11): 1-4 s on layers, about a minute at worst.
+ATTACK_WORK_BUDGET = 10**8
 
 _CONGRUENCE = re.compile(r"^\s*0*(\d+)\s+mod\s+0*(\d+)\s*$")  # groups without leading zeros
 
@@ -45,14 +47,10 @@ def _output(path: str | None):
     return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[Digraph, str]:
-    """Graph plus a stable descriptor, from --r/--n or from --input."""
-    if args.input is not None:
-        return read_edge_list(args.input), f"input:{args.input}"
+def _layer_spec(args: argparse.Namespace) -> LayerSpec:
     if args.r is None or args.n is None:
         raise ValueError("provide either --input or both --r and --n")
-    g = build_layer(LayerSpec(args.r, args.n))
-    return g, f"mcn r={args.r} n={args.n}"
+    return LayerSpec(args.r, args.n)
 
 
 def _cmd_build(args: argparse.Namespace) -> None:
@@ -78,27 +76,39 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_control(args: argparse.Namespace) -> None:
-    g, _ = _load_graph(args)
+    g = build_layer(_layer_spec(args)) if args.input is None else read_edge_list(args.input)
     if args.method in ("exact", "both"):
         print(min_drivers_exact(g).to_json())
     if args.method in ("matching", "both"):
         print(min_drivers_matching(g).to_json())
 
 
+def _check_attack_work(args: argparse.Namespace, size: int) -> None:
+    """Refuse an attack of more than ATTACK_WORK_BUDGET on a graph of ``size`` nodes plus edges."""
+    trials = 1 if args.strategy == "targeted" else args.trials
+    if (args.steps + 1) * trials * size > ATTACK_WORK_BUDGET:
+        raise ValueError(
+            f"attack needs (--steps + 1) x --trials x graph size = {args.steps + 1} x {trials} x {size} "
+            f"nodes plus edges, over ATTACK_WORK_BUDGET = {ATTACK_WORK_BUDGET}; "
+            "use fewer --steps or --trials, or a smaller graph"
+        )
+
+
 def _cmd_attack(args: argparse.Namespace) -> None:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    matchings = (args.steps + 1) * (1 if args.strategy == "targeted" else args.trials)
-    if matchings > ATTACK_MATCHING_BUDGET:
-        raise ValueError(
-            f"attack needs {matchings} matchings, (steps+1) x trials, over the budget of "
-            f"{ATTACK_MATCHING_BUDGET}; use fewer --steps or --trials"
-        )
     if not 0.0 < args.pmax < 1.0:
         raise ValueError(f"--pmax must lie in (0, 1), got {args.pmax}")
     if args.steps < 1:
         raise ValueError(f"--steps must be positive, got {args.steps}")
-    g, source = _load_graph(args)
+    if args.input is None:  # a layer is sized by arithmetic alone, before it is built
+        spec = _layer_spec(args)
+        check_graph_size(spec.node_count)  # keeps the O(sqrt n) edge count below small
+        _check_attack_work(args, spec.node_count + degree_histogram(spec).degree_sum)
+        g, source = build_layer(spec), f"mcn r={args.r} n={args.n}"
+    else:
+        g, source = read_edge_list(args.input), f"input:{args.input}"
+        _check_attack_work(args, g.num_nodes + g.num_edges)
     grid = [args.pmax * i / args.steps for i in range(args.steps + 1)]
     curve = attack_curve(
         g,

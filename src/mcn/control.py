@@ -15,9 +15,9 @@ Two independent routes to the same quantity:
 * structural matching: drivers are the nodes left unmatched on their
   incoming side by a maximum matching of the bipartite out/in
   representation, so the count is max(1, n - |matching|). The matching
-  peels degree-1 copies in numpy rounds and leaves only the remaining core
-  to a matcher: ``matching.hopcroft_karp`` (Pothen-Fan phases) on small
-  cores, scipy's compiled ``maximum_bipartite_matching`` on large ones.
+  peels degree-1 copies in numpy rounds and hands the remaining core, as
+  CSR arrays, to one core matcher, ``hopcroft_karp``: Pothen-Fan phases on
+  small cores, scipy's compiled ``maximum_bipartite_matching`` on large ones.
 
 Both routes peel singletons first. Their live edges keep the graph's CSR
 order, so each round reads an out-copy's degree, and a column's first live
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph
-from .matching import hopcroft_karp
 
 # Elimination runs over GF(p) with a Mersenne prime near 2^61, so arithmetic
 # is exact. Under independent uniform nonzero weights every minor of A is a
@@ -286,14 +285,85 @@ def min_drivers_exact(g: Digraph, weighting: str = "unit", seed: int | tuple[int
     return _report(g, rank_value, dependent, "exact_rank")
 
 
-# Cores of more than SCIPY_CORE_EDGES edges go to scipy's compiled matcher.
-# The constant is the parity point, where Pothen-Fan alone costs as much as
-# scipy's import plus its call, about 0.25 s. Timed in fresh processes on SF
+# The core size at which Pothen-Fan phases cost as much as scipy's import
+# plus its call, about 0.25 s. Timed in fresh processes on SF
 # cores (gamma 2.5, seed 0, kbar 8-16; a shared 2-CPU Xeon, Python 3.11,
 # scipy 1.17), Pothen-Fan reaches that cost between 1.1e5 and 3.2e5 core
 # edges, sooner where augmenting paths are long; above 2^17 it took up to
 # 1.5 s (n=7e4, kbar 9: 169,396 edges), scipy at most 0.47 s.
 SCIPY_CORE_EDGES = 1 << 17
+
+
+def hopcroft_karp(indptr: np.ndarray, indices: np.ndarray, num_right: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum matching of the bipartite graph where left ``u`` joins right ``indices[indptr[u]:indptr[u + 1]]``.
+
+    Returns int64 ``(match_left, match_right)``, -1 where unmatched. Despite
+    the name, no Hopcroft-Karp phase runs. Above SCIPY_CORE_EDGES edges one
+    call of scipy's ``maximum_bipartite_matching`` matches the graph, and
+    scipy is imported only then. Below, the rows become Python lists and
+    Pothen-Fan phases (Pothen and Fan, ACM TOMS 16:303, 1990) repeat until
+    one augments nothing: each runs one iterative DFS from every free left
+    vertex in increasing order, visits no right vertex twice, takes a free
+    right neighbour by a forward-only lookahead pointer before it descends,
+    and scans rows in their given order in odd phases and reversed in even
+    ones, so ties resolve identically on every run.
+    """
+    if len(indices) > SCIPY_CORE_EDGES:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        graph = csr_array((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(len(indptr) - 1, num_right))
+        match_l = maximum_bipartite_matching(graph, perm_type="column")
+    else:
+        bounds, targets = indptr.tolist(), indices.tolist()
+        adj = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+        match_l = [-1] * len(adj)
+        match_r = [-1] * num_right
+        look = [0] * len(adj)  # the entries of adj[u] before look[u] are matched
+        seen = [0] * num_right  # the last phase that visited each right vertex
+        free = [u for u, row in enumerate(adj) if row]  # a vertex without edges never matches
+        phase = 0
+        while free:
+            phase += 1
+            scan = iter if phase % 2 else reversed
+            for root in free:
+                u, path, scans = root, [], []
+                while True:  # u has just joined the search path
+                    row = adj[u]
+                    k = look[u]  # lookahead: the first free right neighbour ends the search
+                    while k < len(row) and match_r[row[k]] >= 0:
+                        k += 1
+                    look[u] = k + 1
+                    path.append(u)
+                    if k < len(row):
+                        v = row[k]
+                        for x in reversed(path):  # x's old partner is how the path entered x
+                            match_r[v] = x
+                            match_l[x], v = v, match_l[x]
+                        break
+                    scans.append(scan(row))
+                    while scans:  # descend to the partner of an unvisited neighbour, or back up
+                        for v in scans[-1]:
+                            if seen[v] != phase:
+                                seen[v] = phase
+                                u = match_r[v]
+                                break
+                        else:
+                            path.pop()
+                            scans.pop()
+                            continue
+                        break
+                    else:
+                        break  # no augmenting path from root in this phase
+            still = [u for u in free if match_l[u] < 0]  # a matched vertex stays matched
+            if len(still) == len(free):
+                break  # no augmenting path is left
+            free = still
+    match_l = np.asarray(match_l, dtype=np.int64)  # an empty list would be float
+    match_r = np.full(num_right, -1, dtype=np.int64)
+    left = np.flatnonzero(match_l >= 0)
+    match_r[match_l[left]] = left
+    return match_l, match_r
 
 
 def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -308,12 +378,10 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
     ``rows``: a lone out-copy is a run of length 1, and an out-copy's smallest
     edge to a lone in-copy is the first such edge of its run.
     The core left once no copy has degree 1 or a round drops under
-    1/PEEL_STOP of the live edges is matched by ``hopcroft_karp`` (Pothen-Fan
-    phases) up to SCIPY_CORE_EDGES edges, and above that by one call to
-    scipy's ``maximum_bipartite_matching`` on the core's CSR arrays, imported
-    only then. On a disjoint union of graphs
-    the result is a maximum matching of each part, though not always the one
-    that part would get alone.
+    1/PEEL_STOP of the live edges goes to ``hopcroft_karp`` as CSR arrays,
+    one row per core out-copy. On a disjoint union of graphs the result is a
+    maximum matching of each part, though not always the one that part
+    would get alone.
     """
     match = np.full(n, -1, dtype=np.int32)
     free_in = np.ones(n, dtype=bool)  # in-copies not matched so far
@@ -334,16 +402,8 @@ def _max_matching(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarra
         if (len(keep) - len(rows)) * PEEL_STOP < len(keep):
             break
     heads = np.flatnonzero(_run_heads(rows))  # first core edge of each core out-copy
-    if len(rows) > SCIPY_CORE_EDGES:
-        from scipy.sparse import csr_array
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-
-        core = csr_array((np.ones(len(cols), dtype=np.int8), cols, np.append(heads, len(rows))), shape=(len(heads), n))
-        match_l = maximum_bipartite_matching(core, perm_type="column")
-    else:
-        bounds, targets = np.append(heads, len(rows)).tolist(), cols.tolist()
-        match_l = np.array(hopcroft_karp([targets[a:b] for a, b in zip(bounds, bounds[1:])], n)[0], dtype=np.int64)
-    match[match_l[match_l >= 0]] = rows[heads][match_l >= 0]
+    match_l = hopcroft_karp(np.append(heads, len(rows)), cols, n)[0]
+    match[match_l[match_l >= 0]] = rows[heads[match_l >= 0]]
     return match, len(rows)
 
 

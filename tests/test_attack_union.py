@@ -147,9 +147,11 @@ def traced_peak(run):
 
 
 # tracemalloc peaks on SF graphs (gamma 2.5, kbar 12, seed 0) whose matching
-# leaves a core, 10 % above those of the matcher that ran Hopcroft-Karp alone
-# on the core: an attack curve's unions 3.55 / 3.00 MiB and one matching
-# 0.29 / 1.31 MiB at n = 500 / 2000 (Python 3.11).
+# leaves a core, 10 % above those of an earlier core matcher that ran
+# Hopcroft-Karp phases: an attack curve's unions 3.55 / 3.00 MiB and one
+# matching 0.29 / 1.31 MiB at n = 500 / 2000 (Python 3.11). The core matcher
+# now runs Pothen-Fan phases on these cores and peaks at 3.52 / 3.01 MiB and
+# 0.29 / 1.32 MiB.
 CORE_PEAK_MIB = {500: (3.91, 0.32), 2000: (3.30, 1.44)}
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mcn.cli import ATTACK_MATCHING_BUDGET, main
+from mcn.cli import ATTACK_WORK_BUDGET, main
 from mcn.digraph import GRAPH_SIZE_BUDGET
 from mcn.layers import LayerSpec, degree_histogram
 
@@ -178,7 +178,7 @@ def test_attack_rejects_bad_pmax(capsys):
 
 @pytest.mark.parametrize(
     "extra,message",
-    [([], "over the budget of 100000"), (["--trials", "0"], "--trials must be positive")],
+    [([], "over ATTACK_WORK_BUDGET"), (["--trials", "0"], "--trials must be positive")],
 )
 def test_attack_refuses_oversized_grid_up_front(capsys, monkeypatch, extra, message):
     def fail(*args, **kwargs):
@@ -202,13 +202,36 @@ def test_attack_budget_counts_one_trial_per_targeted_point(capsys, monkeypatch):
 
     grids = []
     monkeypatch.setattr("mcn.cli.attack_curve", lambda g, strategy, grid, **kw: grids.append(grid) or Curve())
-    steps = str(ATTACK_MATCHING_BUDGET - 1)
-    code, _, _ = run_cli(capsys, "attack", "--r", "1", "--n", "50", "--strategy", "targeted", "--steps", steps)
-    assert code == 0 and len(grids[0]) == ATTACK_MATCHING_BUDGET
+    size = 40000  # nodes plus edges of --r 1 --n 4651, which divide the budget
+    steps = str(ATTACK_WORK_BUDGET // size - 1)
+    code, _, _ = run_cli(capsys, "attack", "--r", "1", "--n", "4651", "--strategy", "targeted", "--steps", steps)
+    assert code == 0 and len(grids[0]) * size == ATTACK_WORK_BUDGET
     code, _, err = run_cli(
-        capsys, "attack", "--r", "1", "--n", "50", "--strategy", "random", "--steps", steps, "--trials", "2",
+        capsys, "attack", "--r", "1", "--n", "4651", "--strategy", "random", "--steps", steps, "--trials", "2",
     )
-    assert code == 2 and "use fewer --steps or --trials" in err and len(grids) == 1
+    assert code == 2 and err.count("\n") == 1 and len(grids) == 1
+    assert f"= {ATTACK_WORK_BUDGET // size} x 2 x {size} nodes plus edges" in err
+    assert "use fewer --steps or --trials, or a smaller graph" in err
+
+
+def test_attack_work_counts_the_nodes_and_edges_of_the_graph(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "g.tsv"
+    assert main(["build", "--r", "1", "--n", "4651", "--out", str(path)]) == 0  # 40000 nodes plus edges
+
+    def fail(*args, **kwargs):
+        raise AssertionError("nothing may run past the work check")
+
+    monkeypatch.setattr("mcn.cli.attack_curve", fail)
+    monkeypatch.setattr("mcn.cli.build_layer", fail)
+    # the default grid on a layer of N = 10^6 is refused from its counted size, before it is built
+    code, out, err = run_cli(capsys, "attack", "--r", "1", "--n", str(10**6), "--strategy", "random")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "= 11 x 50 x 13969985 nodes plus edges" in err
+    # a file is counted once it is read
+    steps = ATTACK_WORK_BUDGET // 40000
+    code, out, err = run_cli(capsys, "attack", "--input", str(path), "--strategy", "targeted", "--steps", str(steps))
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert f"= {steps + 1} x 1 x 40000 nodes plus edges" in err
 
 
 # --- sf ---------------------------------------------------------------------------

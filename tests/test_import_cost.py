@@ -24,8 +24,9 @@ def test_cli_run_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
 
 
 def test_matching_core_loads_neither_scipy_nor_numpy_ma(tmp_path, mcn_env):
-    # kbar=8 leaves a core after the degree-1 peel, so Hopcroft-Karp runs on it
-    # in `control` and at the attack's p = 0 point.
+    # kbar=8 leaves a core after the degree-1 peel, far below SCIPY_CORE_EDGES,
+    # so the core matcher runs Pothen-Fan phases on it in `control` and at the
+    # attack's p = 0 point.
     code = (
         "import sys\n"
         "import numpy as np\n"

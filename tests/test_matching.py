@@ -4,9 +4,17 @@ import sys
 import numpy as np
 import pytest
 
+import mcn.control
 from mcn import LayerSpec, StaticModelSpec, build_layer, generate_static_sf
 from mcn.attacks import remove_nodes
-from mcn.matching import hopcroft_karp
+
+
+def hopcroft_karp(adj, num_right):
+    """``mcn.control.hopcroft_karp`` on rows given as lists, through their CSR arrays; returns lists."""
+    indptr = np.cumsum([0] + [len(row) for row in adj])
+    indices = np.array([v for row in adj for v in row], dtype=np.int64)
+    match_l, match_r = mcn.control.hopcroft_karp(indptr, indices, num_right)
+    return match_l.tolist(), match_r.tolist()
 
 
 def kuhn_matching_size(adj, num_right):

@@ -1,12 +1,14 @@
 """Matching drivers: the maximum matching size, and drivers that a maximum matching leaves free.
 
 Maximum matchings are not unique, so the driver set is checked for what any
-valid one must satisfy: ``n_d`` is ``n`` minus the size the Pothen-Fan
-phases of ``hopcroft_karp`` find on the whole graph, and the drivers are
-exactly the in-copies left free by some maximum matching, which holds iff
-every other in-copy can be matched at once.
+valid one must satisfy: ``n_d`` is ``n`` minus the size the core matcher
+``hopcroft_karp`` finds on the whole graph, with no degree-1 peel, and the
+drivers are exactly the in-copies left free by some maximum matching, which
+holds iff every other in-copy can be matched at once.
 The matching ``_max_matching`` returns is checked itself: every pair is an
 edge, no copy is used twice, and its free in-copies are the printed drivers.
+It peels degree-1 copies and hands the core that is left to one
+``hopcroft_karp`` call, as CSR arrays, whatever the core's size.
 On a disjoint union of graphs it is maximum on every block, which is what
 attack curves rely on when they match their trials' survivors together.
 The properties run once more with scipy matching every core, which it does
@@ -14,6 +16,7 @@ only above ``SCIPY_CORE_EDGES`` core edges otherwise.
 """
 
 from collections import Counter
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -26,7 +29,7 @@ import mcn.control
 from mcn import Digraph, LayerSpec, StaticModelSpec, build_layer, generate_static_sf, min_drivers_matching
 from mcn.attacks import _free_in_copies, remove_nodes
 from mcn.control import PEEL_STOP, SCIPY_CORE_EDGES, _max_matching
-from mcn.matching import hopcroft_karp
+from test_matching import hopcroft_karp
 from test_peeling import cascade, digraphs
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -205,6 +208,24 @@ def test_a_core_above_the_threshold_is_matched_by_scipy():
     assert np.count_nonzero(match >= 0) == report.rank
 
 
+@pytest.mark.parametrize("regime", [nullcontext, scipy_on_every_core])
+@pytest.mark.parametrize("name", sorted(CORE_GRAPHS))
+def test_one_core_matcher_call_per_matching(name, regime):
+    g = CORE_GRAPHS[name]()
+    matcher, results = mcn.control.hopcroft_karp, []
+
+    def spy(indptr, indices, num_right):
+        results.append(matcher(indptr, indices, num_right))
+        return results[-1]
+
+    with regime(), mock.patch.object(mcn.control, "hopcroft_karp", spy):
+        _max_matching(*edge_arrays(g), g.num_nodes)
+    ((match_l, match_r),) = results
+    u = np.flatnonzero(match_l >= 0)
+    assert np.array_equal(match_r[match_l[u]], u)
+    assert np.count_nonzero(match_r >= 0) == len(u)
+
+
 def test_bidirected_cycle_and_blocks_match_perfectly_or_by_the_smaller_side():
     assert min_drivers_matching(bidirected_cycle(9)).drivers == (1,)
     report = min_drivers_matching(bipartite_blocks((2, 3), (3, 3), (4, 2)))
@@ -253,11 +274,12 @@ def reference_peel(rows, cols, n):
 
 def assert_rounds_follow_the_rule(rows, cols, n):
     """``_max_matching`` peels as ``reference_peel`` does and hands the core's edges to the core matcher."""
-    cores = []
+    matcher, cores = mcn.control.hopcroft_karp, []
 
-    def core_matcher(adj, num_right):
-        cores.append(adj)
-        return hopcroft_karp(adj, num_right)
+    def core_matcher(indptr, indices, num_right):
+        bounds, targets = indptr.tolist(), indices.tolist()
+        cores.append([targets[a:b] for a, b in zip(bounds, bounds[1:])])
+        return matcher(indptr, indices, num_right)
 
     with mock.patch.object(mcn.control, "hopcroft_karp", core_matcher):
         match, core_edges = _max_matching(rows, cols, n)
